@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Union
+from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import LinearityError, Loc
 
@@ -408,6 +408,81 @@ def image_of(entry: ServerImage) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Subterms
+# ---------------------------------------------------------------------------
+
+
+class Shape(NamedTuple):
+    """How the nodes of one term class hold their immediate subterms.
+
+    `children` lists them left to right. `rebuild` makes the node again from
+    new subterms, keeping every other field and `loc`. The first `evals` of
+    them are evaluation-context positions; None means all of them.
+    """
+
+    children: Callable[[Any], tuple[Expr, ...]]
+    rebuild: Callable[[Any, Sequence[Expr]], Expr]
+    evals: Optional[int] = None
+
+
+def _rebuild_image(e: Image, kids: Sequence[Expr]) -> Image:
+    buffer, i = [], 1
+    for m in e.buffer:
+        j = i + len(m.args)
+        buffer.append(MessageValue(m.service, tuple(kids[i:j])))
+        i = j
+    return Image(kids[0], tuple(buffer), loc=e.loc)
+
+
+# Rule bodies sit under binders (parameters and `this`), so a template has no
+# subterms here; every walk treats templates explicitly.
+_LEAF = Shape(lambda e: (), lambda e, kids: e, 0)
+
+SHAPES: dict[type, Shape] = {
+    Var: _LEAF,
+    This: _LEAF,
+    Addr: _LEAF,
+    ZeroImage: _LEAF,
+    BaseLit: _LEAF,
+    ExternalRef: _LEAF,
+    ServerTemplate: _LEAF,
+    Spwn: Shape(lambda e: (e.expr,), lambda e, k: Spwn(k[0], e.placement, loc=e.loc)),
+    ServiceRef: Shape(lambda e: (e.target,), lambda e, k: ServiceRef(k[0], e.service, loc=e.loc)),
+    Request: Shape(lambda e: (e.callee, *e.args), lambda e, k: Request(k[0], tuple(k[1:]), loc=e.loc)),
+    Par: Shape(lambda e: e.exprs, lambda e, k: Par(tuple(k), loc=e.loc)),
+    Snap: Shape(lambda e: (e.expr,), lambda e, k: Snap(k[0], loc=e.loc)),
+    Repl: Shape(lambda e: (e.target, e.image), lambda e, k: Repl(k[0], k[1], loc=e.loc)),
+    Image: Shape(lambda e: (e.template, *(a for m in e.buffer for a in m.args)), _rebuild_image, 0),
+    TypeAbs: Shape(lambda e: (e.body,), lambda e, k: TypeAbs(e.var, e.bound, k[0], loc=e.loc), 0),
+    TypeApp: Shape(lambda e: (e.expr,), lambda e, k: TypeApp(k[0], e.arg, loc=e.loc)),
+    BaseOp: Shape(lambda e: e.operands, lambda e, k: BaseOp(e.op, tuple(k), loc=e.loc)),
+    If: Shape(lambda e: (e.cond, e.then, e.orelse), lambda e, k: If(k[0], k[1], k[2], loc=e.loc), 1),
+    TupleV: Shape(lambda e: e.items, lambda e, k: TupleV(tuple(k), loc=e.loc)),
+    ListV: Shape(lambda e: e.items, lambda e, k: ListV(tuple(k), loc=e.loc)),
+    MapV: Shape(
+        lambda e: tuple(x for kv in e.entries for x in kv),
+        lambda e, k: MapV(tuple(zip(k[::2], k[1::2])), loc=e.loc),
+    ),
+}
+
+
+def shape_of(e: Expr) -> Shape:
+    """The table entry of e's class; terms outside the core (surface sugar)
+    count as leaves."""
+    return SHAPES.get(type(e), _LEAF)
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The immediate subterms of e, left to right."""
+    return shape_of(e).children(e)
+
+
+def with_children(e: Expr, kids: Sequence[Expr]) -> Expr:
+    """e rebuilt from new immediate subterms, given in the order of `children`."""
+    return shape_of(e).rebuild(e, kids)
+
+
+# ---------------------------------------------------------------------------
 # Values
 # ---------------------------------------------------------------------------
 
@@ -424,15 +499,9 @@ def is_value(e: Expr) -> bool:
     elif isinstance(e, Par):
         v = len(e.exprs) == 0
     elif isinstance(e, Image):
-        v = isinstance(e.template, ServerTemplate) and all(
-            all(is_value(a) for a in m.args) for m in e.buffer
-        )
-    elif isinstance(e, TupleV):
-        v = all(is_value(x) for x in e.items)
-    elif isinstance(e, ListV):
-        v = all(is_value(x) for x in e.items)
-    elif isinstance(e, MapV):
-        v = all(is_value(k) and is_value(x) for k, x in e.entries)
+        v = isinstance(e.template, ServerTemplate) and all(is_value(a) for a in children(e)[1:])
+    elif isinstance(e, (TupleV, ListV, MapV)):
+        v = all(is_value(x) for x in children(e))
     else:
         v = False
     object.__setattr__(e, "_vcache", v)
@@ -443,69 +512,34 @@ def is_value(e: Expr) -> bool:
 # Free variables
 # ---------------------------------------------------------------------------
 
+_NO_NAMES: frozenset[str] = frozenset()
+
 
 def free_vars(e: Expr) -> frozenset[str]:
     """Free term variables of e; the self-reference appears as "this"."""
-    cached = getattr(e, "_fvcache", None)
-    if cached is not None:
-        return cached
-    fv = _free_vars(e)
-    object.__setattr__(e, "_fvcache", fv)
-    return fv
-
-
-def _free_vars(e: Expr) -> frozenset[str]:
+    fv = getattr(e, "_fvcache", None)
+    if fv is not None:
+        return fv
     if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, This):
-        return frozenset((THIS,))
-    if isinstance(e, ServerTemplate):
+        fv = frozenset((e.name,))
+    elif isinstance(e, This):
+        fv = frozenset((THIS,))
+    elif isinstance(e, ServerTemplate):
         out: set[str] = set()
         for r in e.rules:
             body = free_vars(r.body) - set(r.bound_names)
             if not e.transparent_this:
                 body = body - {THIS}
             out |= body
-        return frozenset(out)
-    if isinstance(e, Spwn):
-        return free_vars(e.expr)
-    if isinstance(e, ServiceRef):
-        return free_vars(e.target)
-    if isinstance(e, Request):
-        out = set(free_vars(e.callee))
-        for a in e.args:
-            out |= free_vars(a)
-        return frozenset(out)
-    if isinstance(e, Par):
-        return frozenset().union(*(free_vars(x) for x in e.exprs)) if e.exprs else frozenset()
-    if isinstance(e, Snap):
-        return free_vars(e.expr)
-    if isinstance(e, Repl):
-        return free_vars(e.target) | free_vars(e.image)
-    if isinstance(e, Image):
-        out = set(free_vars(e.template))
-        for m in e.buffer:
-            for a in m.args:
-                out |= free_vars(a)
-        return frozenset(out)
-    if isinstance(e, TypeAbs):
-        return free_vars(e.body)
-    if isinstance(e, TypeApp):
-        return free_vars(e.expr)
-    if isinstance(e, BaseOp):
-        return frozenset().union(*(free_vars(x) for x in e.operands)) if e.operands else frozenset()
-    if isinstance(e, If):
-        return free_vars(e.cond) | free_vars(e.then) | free_vars(e.orelse)
-    if isinstance(e, TupleV):
-        return frozenset().union(*(free_vars(x) for x in e.items)) if e.items else frozenset()
-    if isinstance(e, ListV):
-        return frozenset().union(*(free_vars(x) for x in e.items)) if e.items else frozenset()
-    if isinstance(e, MapV):
-        out = set()
-        for k, v in e.entries:
-            out |= free_vars(k) | free_vars(v)
-        return frozenset(out)
-    return frozenset()
+        fv = frozenset(out)
+    else:
+        fv = _NO_NAMES
+        for c in children(e):
+            cv = free_vars(c)
+            if cv:
+                fv = fv | cv if fv else cv
+    object.__setattr__(e, "_fvcache", fv)
+    return fv
 
 
 def free_type_vars(t: TypeExpr) -> frozenset[str]:
@@ -526,63 +560,29 @@ def free_type_vars(t: TypeExpr) -> frozenset[str]:
 
 def expr_type_vars(e: Expr) -> frozenset[str]:
     """Type variables occurring free in annotations and type subterms of e."""
-    cached = getattr(e, "_tvcache", None)
-    if cached is not None:
-        return cached
-    out: set[str] = set()
-
-    def walk(x: Expr) -> None:
-        if isinstance(x, ServerTemplate):
-            for r in x.rules:
-                for p in r.patterns:
-                    for _, t in p.params:
-                        out.update(free_type_vars(t))
-                walk(r.body)
-        elif isinstance(x, TypeAbs):
-            out.update(free_type_vars(x.bound))
-            inner = expr_type_vars(x.body)
-            out.update(inner - {x.var})
-        elif isinstance(x, TypeApp):
-            out.update(free_type_vars(x.arg))
-            walk(x.expr)
-        else:
-            for c in _children(x):
-                walk(c)
-
-    walk(e)
-    fv = frozenset(out)
-    object.__setattr__(e, "_tvcache", fv)
-    return fv
-
-
-def _children(e: Expr) -> Iterable[Expr]:
-    if isinstance(e, Spwn):
-        return (e.expr,)
-    if isinstance(e, ServiceRef):
-        return (e.target,)
-    if isinstance(e, Request):
-        return (e.callee, *e.args)
-    if isinstance(e, Par):
-        return e.exprs
-    if isinstance(e, Snap):
-        return (e.expr,)
-    if isinstance(e, Repl):
-        return (e.target, e.image)
-    if isinstance(e, Image):
-        return (e.template, *(a for m in e.buffer for a in m.args))
-    if isinstance(e, TypeApp):
-        return (e.expr,)
-    if isinstance(e, BaseOp):
-        return e.operands
-    if isinstance(e, If):
-        return (e.cond, e.then, e.orelse)
-    if isinstance(e, TupleV):
-        return e.items
-    if isinstance(e, ListV):
-        return e.items
-    if isinstance(e, MapV):
-        return tuple(x for kv in e.entries for x in kv)
-    return ()
+    tv = getattr(e, "_tvcache", None)
+    if tv is not None:
+        return tv
+    if isinstance(e, ServerTemplate):
+        out: set[str] = set()
+        for r in e.rules:
+            for p in r.patterns:
+                for _, t in p.params:
+                    out |= free_type_vars(t)
+            out |= expr_type_vars(r.body)
+        tv = frozenset(out)
+    elif isinstance(e, TypeAbs):
+        tv = free_type_vars(e.bound) | (expr_type_vars(e.body) - {e.var})
+    elif isinstance(e, TypeApp):
+        tv = free_type_vars(e.arg) | expr_type_vars(e.expr)
+    else:
+        tv = _NO_NAMES
+        for c in children(e):
+            cv = expr_type_vars(c)
+            if cv:
+                tv = tv | cv if tv else cv
+    object.__setattr__(e, "_tvcache", tv)
+    return tv
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +614,6 @@ def substitute(e: Expr, subst: Substitution) -> Expr:
 
 
 def _subst(e: Expr, s: dict[str, Expr]) -> Expr:
-    if not s:
-        return e
     # Identity-preserving: untouched subtrees are shared, which keeps the
     # per-node free-variable caches alive across firings.
     fv = free_vars(e)
@@ -627,39 +625,11 @@ def _subst(e: Expr, s: dict[str, Expr]) -> Expr:
         return s.get(THIS, e)
     if isinstance(e, ServerTemplate):
         return _subst_template(e, s)
-    if isinstance(e, Spwn):
-        return Spwn(_subst(e.expr, s), e.placement, loc=e.loc)
-    if isinstance(e, ServiceRef):
-        return ServiceRef(_subst(e.target, s), e.service, loc=e.loc)
-    if isinstance(e, Request):
-        return Request(_subst(e.callee, s), tuple(_subst(a, s) for a in e.args), loc=e.loc)
-    if isinstance(e, Par):
-        return Par(tuple(_subst(x, s) for x in e.exprs), loc=e.loc)
-    if isinstance(e, Snap):
-        return Snap(_subst(e.expr, s), loc=e.loc)
-    if isinstance(e, Repl):
-        return Repl(_subst(e.target, s), _subst(e.image, s), loc=e.loc)
-    if isinstance(e, Image):
-        return Image(
-            _subst(e.template, s),
-            tuple(MessageValue(m.service, tuple(_subst(a, s) for a in m.args)) for m in e.buffer),
-            loc=e.loc,
-        )
-    if isinstance(e, TypeAbs):
-        return TypeAbs(e.var, e.bound, _subst(e.body, s), loc=e.loc)
-    if isinstance(e, TypeApp):
-        return TypeApp(_subst(e.expr, s), e.arg, loc=e.loc)
-    if isinstance(e, BaseOp):
-        return BaseOp(e.op, tuple(_subst(x, s) for x in e.operands), loc=e.loc)
-    if isinstance(e, If):
-        return If(_subst(e.cond, s), _subst(e.then, s), _subst(e.orelse, s), loc=e.loc)
-    if isinstance(e, TupleV):
-        return TupleV(tuple(_subst(x, s) for x in e.items), loc=e.loc)
-    if isinstance(e, ListV):
-        return ListV(tuple(_subst(x, s) for x in e.items), loc=e.loc)
-    if isinstance(e, MapV):
-        return MapV(tuple((_subst(k, s), _subst(v, s)) for k, v in e.entries), loc=e.loc)
-    return e
+    shape = shape_of(e)
+    kids = []
+    for c in shape.children(e):
+        kids.append(_subst(c, s))
+    return shape.rebuild(e, kids)
 
 
 def _subst_template(t: ServerTemplate, s: dict[str, Expr]) -> ServerTemplate:
@@ -778,57 +748,11 @@ def substitute_type_in_expr(e: Expr, subst: Mapping[str, TypeExpr]) -> Expr:
             substitute_type_in_type(e.arg, subst),
             loc=e.loc,
         )
-    if isinstance(e, Spwn):
-        return Spwn(substitute_type_in_expr(e.expr, subst), e.placement, loc=e.loc)
-    if isinstance(e, ServiceRef):
-        return ServiceRef(substitute_type_in_expr(e.target, subst), e.service, loc=e.loc)
-    if isinstance(e, Request):
-        return Request(
-            substitute_type_in_expr(e.callee, subst),
-            tuple(substitute_type_in_expr(a, subst) for a in e.args),
-            loc=e.loc,
-        )
-    if isinstance(e, Par):
-        return Par(tuple(substitute_type_in_expr(x, subst) for x in e.exprs), loc=e.loc)
-    if isinstance(e, Snap):
-        return Snap(substitute_type_in_expr(e.expr, subst), loc=e.loc)
-    if isinstance(e, Repl):
-        return Repl(
-            substitute_type_in_expr(e.target, subst),
-            substitute_type_in_expr(e.image, subst),
-            loc=e.loc,
-        )
-    if isinstance(e, Image):
-        return Image(
-            substitute_type_in_expr(e.template, subst),
-            tuple(
-                MessageValue(m.service, tuple(substitute_type_in_expr(a, subst) for a in m.args))
-                for m in e.buffer
-            ),
-            loc=e.loc,
-        )
-    if isinstance(e, BaseOp):
-        return BaseOp(e.op, tuple(substitute_type_in_expr(x, subst) for x in e.operands), loc=e.loc)
-    if isinstance(e, If):
-        return If(
-            substitute_type_in_expr(e.cond, subst),
-            substitute_type_in_expr(e.then, subst),
-            substitute_type_in_expr(e.orelse, subst),
-            loc=e.loc,
-        )
-    if isinstance(e, TupleV):
-        return TupleV(tuple(substitute_type_in_expr(x, subst) for x in e.items), loc=e.loc)
-    if isinstance(e, ListV):
-        return ListV(tuple(substitute_type_in_expr(x, subst) for x in e.items), loc=e.loc)
-    if isinstance(e, MapV):
-        return MapV(
-            tuple(
-                (substitute_type_in_expr(k, subst), substitute_type_in_expr(v, subst))
-                for k, v in e.entries
-            ),
-            loc=e.loc,
-        )
-    return e
+    shape = shape_of(e)
+    kids = []
+    for c in shape.children(e):
+        kids.append(substitute_type_in_expr(c, subst))
+    return shape.rebuild(e, kids)
 
 
 def substitute_type(target: Union[Expr, TypeExpr], var: str, t: TypeExpr) -> Union[Expr, TypeExpr]:

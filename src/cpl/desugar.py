@@ -30,7 +30,6 @@ from .core import (
     JoinPattern,
     ListV,
     MapV,
-    MessageValue,
     Par,
     ReactionRule,
     Repl,
@@ -51,8 +50,10 @@ from .core import (
     Univ,
     Var,
     ZeroImage,
+    children,
     free_vars,
     fresh_name,
+    shape_of,
     substitute_type_in_type,
 )
 from .errors import DesugarError, Loc
@@ -350,10 +351,6 @@ class Desugarer:
                     ext[THIS] = InstT(ttype)
                 rules.append(ReactionRule(pats, self.desugar(r.body, {**env, **ext})))
             return ServerTemplate(tuple(rules), e.transparent_this, loc=e.loc)
-        if isinstance(e, Spwn):
-            return Spwn(self.desugar(e.expr, env), e.placement, loc=e.loc)
-        if isinstance(e, ServiceRef):
-            return ServiceRef(self.desugar(e.target, env), e.service, loc=e.loc)
         if isinstance(e, Request):
             callee = self.desugar_value(e.callee, env)
             args = [self.desugar_value(a, env) for a in e.args]
@@ -369,38 +366,15 @@ class Desugarer:
             if lifted is not None:
                 return lifted
             return Request(callee, tuple(args), loc=e.loc)
-        if isinstance(e, Par):
-            return Par(tuple(self.desugar(x, env) for x in e.exprs), loc=e.loc)
-        if isinstance(e, Snap):
-            return Snap(self.desugar(e.expr, env), loc=e.loc)
-        if isinstance(e, Repl):
-            return Repl(self.desugar(e.target, env), self.desugar(e.image, env), loc=e.loc)
-        if isinstance(e, Image):
-            return Image(
-                self.desugar(e.template, env),
-                tuple(MessageValue(m.service, tuple(self.desugar(a, env) for a in m.args)) for m in e.buffer),
-                loc=e.loc,
-            )
         if isinstance(e, TypeAbs):
             return TypeAbs(e.var, self.expand_type(e.bound, e.loc), self.desugar(e.body, env), loc=e.loc)
         if isinstance(e, TypeApp):
             return TypeApp(self.desugar(e.expr, env), self.expand_type(e.arg, e.loc), loc=e.loc)
-        if isinstance(e, BaseOp):
-            return BaseOp(e.op, tuple(self.desugar(x, env) for x in e.operands), loc=e.loc)
-        if isinstance(e, If):
-            return If(
-                self.desugar(e.cond, env),
-                self.desugar(e.then, env),
-                self.desugar(e.orelse, env),
-                loc=e.loc,
-            )
-        if isinstance(e, TupleV):
-            return TupleV(tuple(self.desugar(x, env) for x in e.items), loc=e.loc)
-        if isinstance(e, ListV):
-            return ListV(tuple(self.desugar(x, env) for x in e.items), loc=e.loc)
-        if isinstance(e, MapV):
-            return MapV(tuple((self.desugar(k, env), self.desugar(v, env)) for k, v in e.entries), loc=e.loc)
-        return e
+        shape = shape_of(e)
+        kids = []
+        for c in shape.children(e):
+            kids.append(self.desugar(c, env))
+        return shape.rebuild(e, kids)
 
     def desugar_value(self, e: Expr, env: TypeEnv) -> Expr:
         """Desugar an expression in argument position; applications are kept
@@ -588,41 +562,9 @@ def free_vars_surface(e: Expr) -> frozenset[str]:
     if isinstance(e, This):
         return frozenset((THIS,))
     out = frozenset()
-    for c in _surface_children(e):
+    for c in children(e):
         out |= free_vars_surface(c)
     return out
-
-
-def _surface_children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, Spwn):
-        return (e.expr,)
-    if isinstance(e, ServiceRef):
-        return (e.target,)
-    if isinstance(e, Request):
-        return (e.callee, *e.args)
-    if isinstance(e, Par):
-        return tuple(e.exprs)
-    if isinstance(e, Snap):
-        return (e.expr,)
-    if isinstance(e, Repl):
-        return (e.target, e.image)
-    if isinstance(e, Image):
-        return (e.template, *(a for m in e.buffer for a in m.args))
-    if isinstance(e, (TypeAbs,)):
-        return (e.body,)
-    if isinstance(e, TypeApp):
-        return (e.expr,)
-    if isinstance(e, BaseOp):
-        return tuple(e.operands)
-    if isinstance(e, If):
-        return (e.cond, e.then, e.orelse)
-    if isinstance(e, TupleV):
-        return tuple(e.items)
-    if isinstance(e, ListV):
-        return tuple(e.items)
-    if isinstance(e, MapV):
-        return tuple(x for kv in e.entries for x in kv)
-    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -633,31 +575,32 @@ def _surface_children(e: Expr) -> tuple[Expr, ...]:
 def collect_names(src_names: set[str], e: Expr) -> None:
     if isinstance(e, Var):
         src_names.add(e.name)
-    for c in _surface_children(e):
-        collect_names(src_names, c)
-    if isinstance(e, ServerTemplate):
+    elif isinstance(e, ServerTemplate):
         for r in e.rules:
             src_names.update(r.bound_names)
             for p in r.patterns:
                 src_names.add(p.service)
             collect_names(src_names, r.body)
-    if isinstance(e, SLet):
+    elif isinstance(e, SLet):
         src_names.add(e.name)
         collect_names(src_names, e.rhs)
         collect_names(src_names, e.body)
-    if isinstance(e, SLetK):
+    elif isinstance(e, SLetK):
         src_names.update(n for n, _ in e.binders)
         collect_names(src_names, e.rhs)
         collect_names(src_names, e.body)
-    if isinstance(e, SLambda):
+    elif isinstance(e, SLambda):
         src_names.update(n for n, _ in e.params)
         collect_names(src_names, e.body)
-    if isinstance(e, SApply):
+    elif isinstance(e, SApply):
         collect_names(src_names, e.fn)
         for a in e.args:
             collect_names(src_names, a)
-    if isinstance(e, SThunk):
+    elif isinstance(e, SThunk):
         collect_names(src_names, e.body)
+    else:
+        for c in children(e):
+            collect_names(src_names, c)
 
 
 def desugar_program(prog: Program, base_env: TypeEnv | None = None) -> Expr:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .builtins import EffectContext, apply_builtin
 from .core import (
@@ -45,7 +45,9 @@ from .core import (
     ZeroImage,
     image_of,
     is_value,
+    shape_of,
     substitute,
+    substitute_type_in_expr,
 )
 from .errors import ExplosionError, StuckError
 from .pretty import pretty_expr
@@ -115,7 +117,7 @@ def exhaustive() -> Policy:
 @dataclass(frozen=True)
 class MatchResult:
     consumed: tuple[MessageValue, ...]
-    residual: tuple[MessageValue, ...]
+    residual: Sequence[MessageValue]  # the same sequence type as the buffer
     subst: tuple[tuple[str, Expr], ...]
 
     def substitution(self) -> dict[str, Expr]:
@@ -126,36 +128,36 @@ def _bind(pattern_params: tuple[tuple[str, object], ...], msg: MessageValue) -> 
     return tuple((n, v) for (n, _), v in zip(pattern_params, msg.args))
 
 
-def match_patterns(patterns, buffer: tuple[MessageValue, ...], policy: Policy) -> Optional[MatchResult]:
+def match_patterns(patterns, buffer: Sequence[MessageValue], policy: Policy) -> Optional[MatchResult]:
     """Match0/Match1: oldest matching message per pattern, left to right.
 
     Greedy selection is complete here: two patterns can compete only for
     messages of the same service and arity, which are interchangeable.
+    The residual is built from slices of `buffer`, so a list buffer gives a
+    list residual and a tuple buffer a tuple.
     """
     if policy.mode == "exhaustive":
-        results = enumerate_matches(patterns, buffer)
+        results = enumerate_matches(patterns, tuple(buffer))
         return results[0] if results else None
-    taken: set[int] = set()
-    consumed: list[MessageValue] = []
-    bindings: list[tuple[str, Expr]] = []
+    taken: list[int] = []
     for p in patterns:
-        found = None
         for i, m in enumerate(buffer):
-            if i in taken:
-                continue
-            if m.service == p.service and len(m.args) == len(p.params):
-                found = i
+            if m.service == p.service and len(m.args) == len(p.params) and i not in taken:
                 break
-        if found is None:
+        else:
             return None
-        taken.add(found)
-        msg = buffer[found]
-        consumed.append(msg)
-        bindings.extend(_bind(p.params, msg))
-    residual = tuple(m for i, m in enumerate(buffer) if i not in taken)
+        taken.append(i)
+    consumed = tuple(buffer[i] for i in taken)
+    bindings = tuple(b for p, m in zip(patterns, consumed) for b in _bind(p.params, m))
+    residual = buffer[:0]
+    start = 0
+    for i in sorted(taken):
+        residual += buffer[start:i]
+        start = i + 1
+    residual += buffer[start:]
     names = [n for n, _ in bindings]
     assert len(set(names)) == len(names), "pattern linearity violated"
-    return MatchResult(tuple(consumed), residual, tuple(bindings))
+    return MatchResult(consumed, residual, bindings)
 
 
 def enumerate_matches(patterns, buffer: tuple[MessageValue, ...]) -> list[MatchResult]:
@@ -195,76 +197,45 @@ Rewriter = Callable[[Expr], Optional[Expr]]
 
 
 def _rewrite_first(e: Expr, f: Rewriter) -> Optional[Expr]:
-    """Apply f at the leftmost evaluation-context position where it succeeds."""
+    """Apply f at the leftmost evaluation-context position where it succeeds.
+
+    The walk keeps its ancestors on an explicit stack, so term depth costs
+    no Python frames.
+    """
     r = f(e)
-    if r is not None:
+    if r is not None or is_value(e):
         return r
-    if is_value(e):
-        return None
-    if isinstance(e, Spwn):
-        r = _rewrite_first(e.expr, f)
-        return None if r is None else Spwn(r, e.placement, loc=e.loc)
-    if isinstance(e, ServiceRef):
-        r = _rewrite_first(e.target, f)
-        return None if r is None else ServiceRef(r, e.service, loc=e.loc)
-    if isinstance(e, Request):
-        r = _rewrite_first(e.callee, f)
+    stack: list[tuple[Expr, tuple[Expr, ...], int, int]] = []
+    shape = shape_of(e)
+    node, kids, i = e, shape.children(e), 0
+    n = len(kids) if shape.evals is None else shape.evals
+    while True:
+        if i == n:
+            if not stack:
+                return None
+            node, kids, i, n = stack.pop()
+            i += 1
+            continue
+        c = kids[i]
+        r = f(c)
         if r is not None:
-            return Request(r, e.args, loc=e.loc)
-        for i, a in enumerate(e.args):
-            r = _rewrite_first(a, f)
-            if r is not None:
-                return Request(e.callee, e.args[:i] + (r,) + e.args[i + 1 :], loc=e.loc)
-        return None
-    if isinstance(e, Par):
-        for i, x in enumerate(e.exprs):
-            r = _rewrite_first(x, f)
-            if r is not None:
-                return Par(e.exprs[:i] + (r,) + e.exprs[i + 1 :], loc=e.loc)
-        return None
-    if isinstance(e, Snap):
-        r = _rewrite_first(e.expr, f)
-        return None if r is None else Snap(r, loc=e.loc)
-    if isinstance(e, Repl):
-        r = _rewrite_first(e.target, f)
-        if r is not None:
-            return Repl(r, e.image, loc=e.loc)
-        r = _rewrite_first(e.image, f)
-        return None if r is None else Repl(e.target, r, loc=e.loc)
-    if isinstance(e, TypeApp):
-        r = _rewrite_first(e.expr, f)
-        return None if r is None else TypeApp(r, e.arg, loc=e.loc)
-    if isinstance(e, BaseOp):
-        for i, a in enumerate(e.operands):
-            r = _rewrite_first(a, f)
-            if r is not None:
-                return BaseOp(e.op, e.operands[:i] + (r,) + e.operands[i + 1 :], loc=e.loc)
-        return None
-    if isinstance(e, If):
-        r = _rewrite_first(e.cond, f)
-        return None if r is None else If(r, e.then, e.orelse, loc=e.loc)
-    if isinstance(e, TupleV):
-        for i, a in enumerate(e.items):
-            r = _rewrite_first(a, f)
-            if r is not None:
-                return TupleV(e.items[:i] + (r,) + e.items[i + 1 :], loc=e.loc)
-        return None
-    if isinstance(e, ListV):
-        for i, a in enumerate(e.items):
-            r = _rewrite_first(a, f)
-            if r is not None:
-                return ListV(e.items[:i] + (r,) + e.items[i + 1 :], loc=e.loc)
-        return None
-    if isinstance(e, MapV):
-        for i, (k, v) in enumerate(e.entries):
-            r = _rewrite_first(k, f)
-            if r is not None:
-                return MapV(e.entries[:i] + ((r, v),) + e.entries[i + 1 :], loc=e.loc)
-            r = _rewrite_first(v, f)
-            if r is not None:
-                return MapV(e.entries[:i] + ((k, r),) + e.entries[i + 1 :], loc=e.loc)
-        return None
-    return None
+            break
+        if not is_value(c):
+            shape = shape_of(c)
+            sub = shape.children(c)
+            m = len(sub) if shape.evals is None else shape.evals
+            if m:
+                stack.append((node, kids, i, n))
+                node, kids, i, n = c, sub, 0, m
+                continue
+        i += 1
+    while True:
+        new = list(kids)
+        new[i] = r
+        r = shape_of(node).rebuild(node, new)
+        if not stack:
+            return r
+        node, kids, i, n = stack.pop()
 
 
 def _flatten_one(e: Expr) -> Optional[Expr]:
@@ -392,8 +363,6 @@ def step(config: Config, policy: Policy) -> Optional[Stepped]:
         if isinstance(e, TypeApp) and is_value(e.expr):
             if not isinstance(e.expr, TypeAbs):
                 raise StuckError("type application of a non-universal value")
-            from .core import substitute_type_in_expr
-
             effects["tapp"] = True
             return substitute_type_in_expr(e.expr.body, {e.expr.var: e.arg})
         if isinstance(e, BaseOp) and all(is_value(a) for a in e.operands):
@@ -449,8 +418,6 @@ class TraceStep:
     index: int
     rule: str
     detail: str
-    pre_digest: str
-    post_digest: str
     top: str
 
 
@@ -554,6 +521,18 @@ def canonical(config: Config) -> str:
     return "|".join(parts)
 
 
+def fire_next_timers(config: Config) -> Config:
+    """Jump logical time to the earliest timer deadline and deliver every
+    timer due by then, in the order they were armed."""
+    due = min(d for d, _ in config.timers)
+    c = config.copy()
+    c.timers = tuple(t for t in config.timers if t[0] > due)
+    c.logical_time = max(c.logical_time, due)
+    assert isinstance(c.expr, Par)
+    c.expr = Par(c.expr.exprs + tuple(Request(k, ()) for d, k in config.timers if d <= due))
+    return c
+
+
 def _completed(config: Config) -> bool:
     assert isinstance(config.expr, Par)
     return all(is_value(x) for x in config.expr.exprs)
@@ -587,39 +566,19 @@ def run(
     current = config
     idle_rounds = 0
     progress = (0, 0)
-    for n in range(max_steps):
+    for _ in range(max_steps):
         s = step(current, policy)
         if s is None:
             now_progress = (len(current.observations), current.replaces)
-            if current.timers and idle_rounds < max_idle_timer_rounds:
-                idle_rounds = idle_rounds + 1 if now_progress == progress else 0
-                progress = now_progress
-                due = min(t[0] for t in current.timers)
-                ready = tuple(k for d, k in current.timers if d <= due)
-                c = current.copy()
-                c.timers = tuple(t for t in current.timers if t[0] > due)
-                c.logical_time = max(c.logical_time, due)
-                assert isinstance(c.expr, Par)
-                c.expr = Par(c.expr.exprs + tuple(Request(k, ()) for k in ready))
-                if record_trace:
-                    trace.steps.append(
-                        TraceStep(len(trace.steps) + 1, "Timer", f"t={c.logical_time}", digest(current), digest(c), pretty_expr(c.expr))
-                    )
-                current = c
-                continue
-            status = COMPLETED if _completed(current) else QUIESCENT
-            return RunResult(current, trace, status)
+            if not current.timers or idle_rounds >= max_idle_timer_rounds:
+                status = COMPLETED if _completed(current) else QUIESCENT
+                return RunResult(current, trace, status)
+            idle_rounds = idle_rounds + 1 if now_progress == progress else 0
+            progress = now_progress
+            fired = fire_next_timers(current)
+            s = Stepped(fired, "Timer", f"t={fired.logical_time}")
         if record_trace:
-            trace.steps.append(
-                TraceStep(
-                    len(trace.steps) + 1,
-                    s.rule,
-                    s.detail,
-                    digest(current),
-                    digest(s.config),
-                    pretty_expr(s.config.expr),
-                )
-            )
+            trace.steps.append(TraceStep(len(trace.steps) + 1, s.rule, s.detail, pretty_expr(s.config.expr)))
         current = s.config
     return RunResult(current, trace, STEP_LIMIT)
 
@@ -643,8 +602,6 @@ def _admin_close(config: Config) -> Config:
 
         def contract(e: Expr) -> Optional[Expr]:
             if isinstance(e, TypeApp) and is_value(e.expr) and isinstance(e.expr, TypeAbs):
-                from .core import substitute_type_in_expr
-
                 return substitute_type_in_expr(e.expr.body, {e.expr.var: e.arg})
             if isinstance(e, BaseOp) and all(is_value(a) for a in e.operands):
                 fx = EffectContext(
@@ -676,24 +633,17 @@ def _successors(config: Config) -> Iterator[Config]:
     base = config
 
     # Every deliverable request, at every position.
-    positions: list[tuple[str, object]] = []
+    def deliverable(e: Expr) -> bool:
+        if not isinstance(e, Request) or not all(is_value(a) for a in e.args):
+            return False
+        callee = e.callee
+        return isinstance(callee, ExternalRef) or (
+            isinstance(callee, ServiceRef)
+            and isinstance(callee.target, Addr)
+            and isinstance(base.table.get(callee.target.address), Live)
+        )
 
-    def find_deliveries(e: Expr, out: list) -> None:
-        if is_value(e):
-            return
-        if isinstance(e, Request) and all(is_value(a) for a in e.args):
-            callee = e.callee
-            if isinstance(callee, ExternalRef) or (
-                isinstance(callee, ServiceRef)
-                and isinstance(callee.target, Addr)
-                and isinstance(base.table.get(callee.target.address), Live)
-            ):
-                out.append(e)
-        for c in _eval_children(e):
-            find_deliveries(c, out)
-
-    deliveries: list[Request] = []
-    find_deliveries(base.expr, deliveries)
+    deliveries = [e for e in _eval_subterms(base.expr) if deliverable(e)]
     for req in deliveries:
         c = base.copy()
         c.expr = _replace_once(base.expr, req, Par(()))
@@ -729,27 +679,20 @@ def _successors(config: Config) -> Iterator[Config]:
                 yield c
 
     # Every Spwn/Snap/Repl redex position.
-    redexes: list[Expr] = []
-
-    def find_redexes(e: Expr, out: list) -> None:
-        if is_value(e):
-            return
-        if isinstance(e, Spwn) and is_value(e.expr) and _as_spawnable(e.expr) is not None:
-            out.append(e)
-        elif isinstance(e, Snap) and isinstance(e.expr, Addr) and e.expr.address in base.table:
-            out.append(e)
-        elif (
+    def redex(e: Expr) -> bool:
+        if isinstance(e, Spwn):
+            return is_value(e.expr) and _as_spawnable(e.expr) is not None
+        if isinstance(e, Snap):
+            return isinstance(e.expr, Addr) and e.expr.address in base.table
+        return (
             isinstance(e, Repl)
             and isinstance(e.target, Addr)
             and is_value(e.image)
             and e.target.address in base.table
             and _as_spawnable(e.image) is not None
-        ):
-            out.append(e)
-        for ch in _eval_children(e):
-            find_redexes(ch, out)
+        )
 
-    find_redexes(base.expr, redexes)
+    redexes = [e for e in _eval_subterms(base.expr) if redex(e)]
     for red in redexes:
         c = base.copy()
         if isinstance(red, Spwn):
@@ -770,32 +713,17 @@ def _successors(config: Config) -> Iterator[Config]:
         yield c
 
 
-def _eval_children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, Spwn):
-        return (e.expr,)
-    if isinstance(e, ServiceRef):
-        return (e.target,)
-    if isinstance(e, Request):
-        return (e.callee, *e.args)
-    if isinstance(e, Par):
-        return tuple(e.exprs)
-    if isinstance(e, Snap):
-        return (e.expr,)
-    if isinstance(e, Repl):
-        return (e.target, e.image)
-    if isinstance(e, TypeApp):
-        return (e.expr,)
-    if isinstance(e, BaseOp):
-        return tuple(e.operands)
-    if isinstance(e, If):
-        return (e.cond,)
-    if isinstance(e, TupleV):
-        return tuple(e.items)
-    if isinstance(e, ListV):
-        return tuple(e.items)
-    if isinstance(e, MapV):
-        return tuple(x for kv in e.entries for x in kv)
-    return ()
+def _eval_subterms(e: Expr) -> Iterator[Expr]:
+    """The non-value subterms of e in evaluation position, in pre-order."""
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        if is_value(x):
+            continue
+        yield x
+        shape = shape_of(x)
+        kids = shape.children(x)
+        stack.extend(reversed(kids if shape.evals is None else kids[: shape.evals]))
 
 
 def _replace_once(root: Expr, target: Expr, replacement: Expr) -> Expr:

@@ -29,6 +29,7 @@ from .core import (
     If,
     Image,
     ListV,
+    Live,
     MapV,
     MessageValue,
     Par,
@@ -43,15 +44,20 @@ from .core import (
     TypeAbs,
     TypeApp,
     ZeroImage,
+    children,
     free_vars,
     is_value,
     substitute,
     substitute_type_in_expr,
+    with_children,
 )
 from .errors import MachineError
+from .machine import _as_spawnable, deterministic, match_patterns
 
 DEFAULT_OBSERVERS = ("result", "event", "print")
 _INLINE_DEPTH_LIMIT = 40
+# Firings take the oldest matching messages, as on the small-step machine.
+_MATCH_POLICY = deterministic()
 
 
 @dataclass
@@ -239,14 +245,7 @@ class Runtime:
         return self
 
     def rt_spawn(self, image: Expr, placement: Placement = Placement.REMOTE) -> Address:
-        if isinstance(image, ServerTemplate):
-            template, buffer = image, ()
-        elif isinstance(image, Image) and isinstance(image.template, ServerTemplate):
-            template, buffer = image.template, image.buffer
-        elif isinstance(image, ZeroImage):
-            template, buffer = None, ()
-        else:
-            raise MachineError(f"spwn needs a server image, got {image!r}")
+        template, buffer = _decode_image(image, "spwn")
         addr = Address(next(self._next_addr), placement)
         inst = _Instance(addr, template, list(buffer))
         with self._reg_lock:
@@ -273,14 +272,7 @@ class Runtime:
 
     def rt_replace(self, addr: Address, image: Expr) -> None:
         inst = self._lookup(addr)
-        if isinstance(image, ServerTemplate):
-            template, buffer = image, ()
-        elif isinstance(image, Image) and isinstance(image.template, ServerTemplate):
-            template, buffer = image.template, image.buffer
-        elif isinstance(image, ZeroImage):
-            template, buffer = None, ()
-        else:
-            raise MachineError(f"repl needs a server image, got {image!r}")
+        template, buffer = _decode_image(image, "repl")
         with inst.lock:
             inst.template = template
             inst.buffer = list(buffer)
@@ -320,14 +312,7 @@ class Runtime:
                         self.timed_out = True
                         break
                     time.sleep(wait / 1000.0)
-            with self._clock_lock:
-                if self.virtual_time:
-                    self._vclock = max(self._vclock, due)
-                now = self._vclock if self.virtual_time else self.local_time()
-                ready = [t for t in self._timers if t[0] <= now]
-                self._timers = [t for t in self._timers if t[0] > now]
-            for _, _, k in sorted(ready):
-                self._submit(lambda k=k: self._eval(Request(k, ())))
+            self._fire_due(due if self.virtual_time else self.local_time())
             if not self._tracker.wait_zero(deadline):
                 self.timed_out = True
                 self._raise_pending_error()
@@ -342,9 +327,14 @@ class Runtime:
         lets tests drive recovery timeouts explicitly."""
         if not self.virtual_time:
             raise MachineError("advance_virtual requires virtual-time mode")
+        self._fire_due(self.local_time() + ms)
+
+    def _fire_due(self, now: int) -> None:
+        """Deliver every timer due by `now`, earliest first; in virtual-time
+        mode the clock first moves up to `now`."""
         with self._clock_lock:
-            self._vclock += ms
-            now = self._vclock
+            if self.virtual_time:
+                self._vclock = now = max(self._vclock, now)
             ready = [t for t in self._timers if t[0] <= now]
             self._timers = [t for t in self._timers if t[0] > now]
         for _, _, k in sorted(ready):
@@ -401,12 +391,11 @@ class Runtime:
             with inst.lock:
                 fired = None
                 if inst.template is not None:
-                    for ridx, rule in enumerate(inst.template.rules):
-                        m = _match(rule.patterns, inst.buffer)
+                    for rule in inst.template.rules:
+                        m = match_patterns(rule.patterns, inst.buffer, _MATCH_POLICY)
                         if m is not None:
-                            consumed_idx, bindings = m
-                            inst.buffer = [x for i, x in enumerate(inst.buffer) if i not in consumed_idx]
-                            fired = (rule, bindings)
+                            inst.buffer = m.residual
+                            fired = (rule, m.subst)
                             break
                 if fired is None:
                     inst.scheduled = False
@@ -485,33 +474,20 @@ class Runtime:
             if isinstance(c, BaseLit) and isinstance(c.value, bool):
                 return self._eval(e.then if c.value else e.orelse)
             raise MachineError("if condition must be a Bool")
-        if isinstance(e, TupleV):
-            return TupleV(tuple(self._eval(x) for x in e.items))
-        if isinstance(e, ListV):
-            return ListV(tuple(self._eval(x) for x in e.items))
-        if isinstance(e, MapV):
-            return MapV(tuple((self._eval(k), self._eval(v)) for k, v in e.entries))
+        if isinstance(e, (TupleV, ListV, MapV)):
+            kids = []
+            for c in children(e):
+                kids.append(self._eval(c))
+            return with_children(e, kids)
         raise MachineError(f"cannot evaluate open expression: {e!r}")
 
 
-def _match(patterns, buffer: list[MessageValue]) -> Optional[tuple[set[int], list[tuple[str, Expr]]]]:
-    """Deterministic match: oldest message per pattern, left to right."""
-    taken: set[int] = set()
-    bindings: list[tuple[str, Expr]] = []
-    for p in patterns:
-        found = None
-        for i, m in enumerate(buffer):
-            if i in taken:
-                continue
-            if m.service == p.service and len(m.args) == len(p.params):
-                found = i
-                break
-        if found is None:
-            return None
-        taken.add(found)
-        msg = buffer[found]
-        bindings.extend((n, v) for (n, _), v in zip(p.params, msg.args))
-    return taken, bindings
+def _decode_image(image: Expr, op: str) -> tuple[Optional[ServerTemplate], tuple[MessageValue, ...]]:
+    """(template, buffer) of an image value; None stands for the inert image."""
+    img = _as_spawnable(image)
+    if img is None:
+        raise MachineError(f"{op} needs a server image, got {image!r}")
+    return (img.template, img.buffer) if isinstance(img, Live) else (None, ())
 
 
 def boot(

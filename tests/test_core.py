@@ -31,7 +31,7 @@ from cpl.core import (
     substitute,
     substitute_type,
 )
-from cpl.errors import LinearityError
+from cpl.errors import LinearityError, Loc
 
 INT = BaseT("Int")
 
@@ -172,6 +172,79 @@ class TestValues:
     def test_service_ref_value_only_at_address(self):
         assert is_value(ServiceRef(Addr(Address(0)), "x"))
         assert not is_value(ServiceRef(Var("y"), "x"))
+
+
+def one_of_each_expr_class(loc):
+    """One node of every concrete Expr class in cpl.core, each with
+    subterms where the class has any."""
+    import cpl.core as core
+
+    x, y = Var("x"), BaseLit(2)
+    msg = MessageValue("go", (x, y))
+    return [
+        core.Var("v", loc=loc),
+        core.This(loc=loc),
+        core.ServerTemplate(FACT_TEMPLATE.rules, loc=loc),
+        core.Spwn(x, core.Placement.LOCAL, loc=loc),
+        core.ServiceRef(x, "svc", loc=loc),
+        core.Request(x, (y, x), loc=loc),
+        core.Par((x, y, x), loc=loc),
+        core.Snap(x, loc=loc),
+        core.Repl(x, y, loc=loc),
+        core.Addr(Address(4), loc=loc),
+        core.Image(x, (msg, MessageValue("stop", ()), msg), loc=loc),
+        core.ZeroImage(loc=loc),
+        core.TypeAbs("a", Top(), x, loc=loc),
+        core.TypeApp(x, INT, loc=loc),
+        core.BaseOp("add", (x, y), loc=loc),
+        core.BaseLit(7, loc=loc),
+        core.If(x, y, Par(()), loc=loc),
+        core.TupleV((x, y), loc=loc),
+        core.ListV((y, x), loc=loc),
+        core.MapV(((y, x), (BaseLit(1), y)), loc=loc),
+        core.ExternalRef("result", loc=loc),
+    ]
+
+
+class TestSubterms:
+    def test_table_covers_every_expr_class(self):
+        import inspect
+
+        import cpl.core as core
+
+        classes = {
+            c for _, c in inspect.getmembers(core, inspect.isclass)
+            if issubclass(c, core.Expr) and c is not core.Expr and c.__module__ == core.__name__
+        }
+        assert classes == set(core.SHAPES)
+        assert classes == {type(e) for e in one_of_each_expr_class(None)}
+
+    @pytest.mark.parametrize("e", one_of_each_expr_class(Loc(3, 9)), ids=lambda e: type(e).__name__)
+    def test_with_children_round_trip_keeps_loc(self, e):
+        from cpl.core import children, with_children
+
+        out = with_children(e, children(e))
+        assert out == e
+        assert out.loc == Loc(3, 9)
+
+    def test_with_children_replaces_in_order(self):
+        from cpl.core import children, with_children
+
+        img = Image(Var("t"), (MessageValue("a", (Var("p"),)), MessageValue("b", (Var("q"), Var("r")))))
+        kids = children(img)
+        assert kids == (Var("t"), Var("p"), Var("q"), Var("r"))
+        new = with_children(img, [Var(f"n{i}") for i in range(4)])
+        assert new == Image(
+            Var("n0"), (MessageValue("a", (Var("n1"),)), MessageValue("b", (Var("n2"), Var("n3"))))
+        )
+
+    def test_substitution_shares_untouched_subtrees(self):
+        left = Request(Var("k"), (BaseLit(1),))
+        right = Request(ServiceRef(Var("w"), "a"), ())
+        out = substitute(Par((left, right)), {"w": Addr(Address(1))})
+        assert out.exprs[0] is left and out.exprs[1] is not right
+        unchanged = Par((left, right))
+        assert substitute_type(unchanged, "a", INT) is unchanged
 
 
 class TestLinearity:

@@ -84,9 +84,9 @@ def test_def_chain_binds_main():
     # No surface nodes survive.
     def walk(e):
         assert not isinstance(e, (SLet, SLetK, SLambda, SApply, SThunk))
-        from cpl.core import _children
+        from cpl.core import children
 
-        for c in _children(e):
+        for c in children(e):
             walk(c)
         if isinstance(e, ServerTemplate):
             for r in e.rules:

@@ -8,7 +8,14 @@ from cpl.core import (
     Addr,
     Address,
     BaseLit,
+    BaseOp,
+    If,
     Image,
+    JoinPattern,
+    ReactionRule,
+    ServerTemplate,
+    Top,
+    TypeAbs,
     Inert,
     Live,
     Par,
@@ -153,6 +160,24 @@ class TestRules:
         # The unreached branch must not execute its request.
         res = run_ss("(spwn srv { a<> :> if true then result<1> else result<2> })#a<>")
         assert ss_obs(res) == [1]
+
+
+class TestEvaluationPositions:
+    def test_if_contracts_its_condition_only(self):
+        cond = BaseOp("lt", (BaseLit(1), BaseLit(2)))
+        then = BaseOp("add", (BaseLit(1), BaseLit(1)))
+        orelse = BaseOp("add", (BaseLit(2), BaseLit(2)))
+        s = step(initial_config(If(cond, then, orelse)), deterministic(0))
+        assert s.rule == "Base"
+        assert s.config.expr == Par((If(BaseLit(True), then, orelse),))
+        s = step(s.config, deterministic(0))
+        assert s.rule == "If" and s.config.expr == Par((then,))
+
+    def test_no_redex_under_type_abstraction_or_template(self):
+        redex = BaseOp("add", (BaseLit(1), BaseLit(1)))
+        tmpl = ServerTemplate((ReactionRule((JoinPattern("go", ()),), redex),))
+        cfg = initial_config(Par((TypeAbs("a", Top(), redex), tmpl)))
+        assert step(cfg, deterministic(0)) is None
 
 
 class TestRun:

@@ -5,7 +5,7 @@ import collections
 import pytest
 
 import cpl.toolchain as tc
-from cpl.core import BaseLit, ListV, TupleV, _children, ServerTemplate
+from cpl.core import BaseLit, ListV, TupleV, children, ServerTemplate
 from cpl.runtime import value_to_json
 from conftest import cc_obs, run_cc, run_ss, ss_obs
 
@@ -19,7 +19,7 @@ def extract_corpus(core):
             isinstance(x, TupleV) and len(x.items) == 2 for x in e.items
         ):
             found.append(e)
-        for c in _children(e):
+        for c in children(e):
             walk(c)
         if isinstance(e, ServerTemplate):
             for r in e.rules:

@@ -4,8 +4,8 @@ re-typechecks under a location typing extended at freshly spawned addresses."""
 import pytest
 
 import cpl.toolchain as tc
-from cpl.core import Par, Request, UnitT, image_of
-from cpl.machine import deterministic, initial_config, step
+from cpl.core import UnitT, image_of
+from cpl.machine import deterministic, fire_next_timers, initial_config, step
 from cpl.typecheck import TypeContext, check_routing_table, subtype, type_of
 from conftest import FACT_SRC
 
@@ -29,13 +29,7 @@ def preservation_steps(text, prelude=False, seed=0, max_steps=400):
         s = step(current, policy)
         if s is None:
             if current.timers:
-                due = min(t[0] for t in current.timers)
-                ready = tuple(k for d, k in current.timers if d <= due)
-                c = current.copy()
-                c.timers = tuple(t for t in current.timers if t[0] > due)
-                c.logical_time = max(c.logical_time, due)
-                c.expr = Par(c.expr.exprs + tuple(Request(k, ()) for k in ready))
-                current = c
+                current = fire_next_timers(current)
                 continue
             break
         new = s.config
