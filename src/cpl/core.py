@@ -274,6 +274,11 @@ class Address:
     id: int
     placement: Placement = Placement.REMOTE
 
+    def __hash__(self) -> int:
+        # Equal addresses have equal ids, so the id alone is a valid hash; it
+        # spares every table lookup a tuple and an Enum hash in Python.
+        return hash(self.id)
+
 
 @dataclass(frozen=True)
 class Addr(Expr):

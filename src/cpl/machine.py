@@ -1,17 +1,28 @@
 """Deterministic small-step machine for the seven reduction rules.
 
-Evaluation contexts are realized by recursive redex search (congruence is
-implicit). The deterministic policy fixes all three nondeterminism dimensions:
-instances round-robin by address id, rules in definition order, and the oldest
-matching message wins. Exhaustive exploration is provided separately for the
-match oracle and bounded reachability.
+Each step makes one pre-order walk over the evaluation positions of the term
+(congruence is implicit). The walk stops at the first nested parallel
+composition and otherwise reports the first deliverable request and the
+first contraction candidate (Spwn, Snap, Repl, type application, base
+operation, if). Rules take priority in the order Par, Rcv, React,
+contraction, and only the chosen redex is contracted.
+
+React does not scan the routing table. Every configuration carries a ready
+set: the addresses whose entry is live and whose buffer matches at least one
+rule of its template. A step re-matches only the entry it writes (a
+delivered message, a React residual, a spawned or replaced image), so a join
+is retried only when its buffer changes. The deterministic policy fixes all
+three nondeterminism dimensions: the ready instance with the smallest id at
+or after the round-robin cursor (else the smallest ready id), rules in
+definition order, and the oldest matching message. Exhaustive exploration is
+provided separately for the match oracle and bounded reachability.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .builtins import EffectContext, apply_builtin
 from .core import (
@@ -57,7 +68,12 @@ Observation = tuple[int, str, tuple[Expr, ...]]
 
 @dataclass
 class Config:
-    """A machine state e | mu plus bookkeeping for builtins and plumbing."""
+    """A machine state e | mu plus bookkeeping for builtins and plumbing.
+
+    `ready` holds the addresses whose entry is live and whose buffer matches
+    at least one rule of its template. It is derived from `table` when a
+    config is built without it; after that, write entries through `put`.
+    """
 
     expr: Expr
     table: RoutingTable
@@ -66,6 +82,11 @@ class Config:
     timers: tuple[tuple[int, Expr], ...] = ()
     observations: tuple[Observation, ...] = ()
     replaces: int = 0
+    ready: set[Address] = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.ready is None:
+            self.ready = {a for a, entry in self.table.items() if _reacts(entry)}
 
     def copy(self) -> "Config":
         return Config(
@@ -76,7 +97,16 @@ class Config:
             self.timers,
             self.observations,
             self.replaces,
+            set(self.ready),
         )
+
+    def put(self, addr: Address, entry: ServerImage) -> None:
+        """Write one table entry and update its membership of the ready set."""
+        self.table[addr] = entry
+        if _reacts(entry):
+            self.ready.add(addr)
+        else:
+            self.ready.discard(addr)
 
 
 def initial_config(expr: Expr) -> Config:
@@ -190,60 +220,115 @@ def enumerate_matches(patterns, buffer: tuple[MessageValue, ...]) -> list[MatchR
 
 
 # ---------------------------------------------------------------------------
+# Ready set
+# ---------------------------------------------------------------------------
+
+# Readiness only asks whether a match exists, which no policy changes.
+_ANY_MATCH = deterministic()
+
+
+def _reacts(entry: ServerImage) -> bool:
+    """Whether some rule of a live entry matches its buffer."""
+    return (
+        isinstance(entry, Live)
+        and bool(entry.buffer)
+        and any(match_patterns(r.patterns, entry.buffer, _ANY_MATCH) is not None for r in entry.template.rules)
+    )
+
+
+# ---------------------------------------------------------------------------
 # Redex search
 # ---------------------------------------------------------------------------
 
-Rewriter = Callable[[Expr], Optional[Expr]]
+# A position is None for the root, else (parent, parent's subterms, index of
+# this subterm among them, parent's position).
+Position = Optional[tuple[Expr, tuple[Expr, ...], int, "Position"]]
+Site = tuple[Expr, Position]
 
 
-def _rewrite_first(e: Expr, f: Rewriter) -> Optional[Expr]:
-    """Apply f at the leftmost evaluation-context position where it succeeds.
+def _sites(root: Expr) -> Iterator[Site]:
+    """The non-value subterms of root in evaluation position, in pre-order,
+    each with its position. No Python frame per nesting level."""
+    if is_value(root):
+        return
+    todo: list[Site] = [(root, None)]
+    while todo:
+        site = todo.pop()
+        yield site
+        x = site[0]
+        shape = shape_of(x)
+        kids = shape.children(x)
+        for i in range((len(kids) if shape.evals is None else shape.evals) - 1, -1, -1):
+            k = kids[i]
+            if not is_value(k):
+                todo.append((k, (x, kids, i, site[1])))
 
-    The walk keeps its ancestors on an explicit stack, so term depth costs
-    no Python frames.
-    """
-    r = f(e)
-    if r is not None or is_value(e):
-        return r
-    stack: list[tuple[Expr, tuple[Expr, ...], int, int]] = []
-    shape = shape_of(e)
-    node, kids, i = e, shape.children(e), 0
-    n = len(kids) if shape.evals is None else shape.evals
-    while True:
-        if i == n:
-            if not stack:
-                return None
-            node, kids, i, n = stack.pop()
-            i += 1
-            continue
-        c = kids[i]
-        r = f(c)
-        if r is not None:
-            break
-        if not is_value(c):
-            shape = shape_of(c)
-            sub = shape.children(c)
-            m = len(sub) if shape.evals is None else shape.evals
-            if m:
-                stack.append((node, kids, i, n))
-                node, kids, i, n = c, sub, 0, m
-                continue
-        i += 1
-    while True:
+
+def _plug(pos: Position, r: Expr) -> Expr:
+    """The root with r in place of the subterm at pos; the ancestors are
+    rebuilt, every other subterm is shared."""
+    while pos is not None:
+        node, kids, i, pos = pos
         new = list(kids)
         new[i] = r
         r = shape_of(node).rebuild(node, new)
-        if not stack:
-            return r
-        node, kids, i, n = stack.pop()
+    return r
 
 
-def _flatten_one(e: Expr) -> Optional[Expr]:
-    if isinstance(e, Par):
-        for i, x in enumerate(e.exprs):
-            if isinstance(x, Par):
-                return Par(e.exprs[:i] + x.exprs + e.exprs[i + 1 :], loc=e.loc)
-    return None
+def _deliverable(e: Request, table: RoutingTable) -> bool:
+    """A request with value arguments to an engine endpoint or a live instance."""
+    if not all(is_value(a) for a in e.args):
+        return False
+    callee = e.callee
+    return isinstance(callee, ExternalRef) or (
+        isinstance(callee, ServiceRef)
+        and isinstance(callee.target, Addr)
+        and isinstance(table.get(callee.target.address), Live)
+    )
+
+
+# The forms `step` contracts in place, and among them the administrative
+# ones, which touch neither the routing table nor the scheduler.
+_CONTRACTIBLE = frozenset((Spwn, Snap, Repl, TypeApp, BaseOp, If))
+_ADMINISTRATIVE = frozenset((TypeApp, BaseOp, If))
+
+
+def _evaluated(e: Expr) -> bool:
+    """Whether every evaluation subterm of e is a value."""
+    shape = shape_of(e)
+    return all(is_value(k) for k in shape.children(e)[: shape.evals])
+
+
+def _scan(
+    root: Expr, table: Optional[RoutingTable], forms: frozenset[type]
+) -> tuple[Optional[Site], Optional[Site], Optional[Site]]:
+    """One pre-order walk over the evaluation positions of root.
+
+    Returns the first Par redex (a parallel composition with a parallel
+    component; the walk stops there), the first deliverable request (none
+    when table is None) and the first term of a class in `forms` whose
+    evaluation subterms are values. Contracting that one may still be stuck.
+    """
+    rcv = red = None
+    for site in _sites(root):
+        x = site[0]
+        cls = type(x)
+        if cls is Par:
+            if any(type(y) is Par for y in x.exprs):
+                return site, rcv, red
+        elif cls is Request:
+            if rcv is None and table is not None and _deliverable(x, table):
+                rcv = site
+        elif red is None and cls in forms and _evaluated(x):
+            red = site
+    return None, rcv, red
+
+
+def _flatten_one(e: Par) -> Par:
+    for i, x in enumerate(e.exprs):
+        if type(x) is Par:
+            return Par(e.exprs[:i] + x.exprs + e.exprs[i + 1 :], loc=e.loc)
+    raise AssertionError("no nested parallel composition")
 
 
 def _as_spawnable(v: Expr) -> Optional[ServerImage]:
@@ -257,6 +342,11 @@ def _as_spawnable(v: Expr) -> Optional[ServerImage]:
     return None
 
 
+# ---------------------------------------------------------------------------
+# Steps
+# ---------------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class Stepped:
     config: Config
@@ -265,147 +355,127 @@ class Stepped:
 
 
 def step(config: Config, policy: Policy) -> Optional[Stepped]:
-    """Perform exactly one atomic reduction, or report quiescence with None."""
+    """Perform exactly one atomic reduction, or report quiescence with None.
 
-    # (1) rule Par: flatten one nested parallel composition.
-    new_expr = _rewrite_first(config.expr, _flatten_one)
-    if new_expr is not None:
-        c = config.copy()
-        c.expr = new_expr
-        return Stepped(c, "Par")
-
-    # (2) rule Rcv: deliver the leftmost in-transit request.
-    effects: dict = {}
-
-    def deliver(e: Expr) -> Optional[Expr]:
-        if not isinstance(e, Request) or not all(is_value(a) for a in e.args):
-            return None
-        callee = e.callee
-        if isinstance(callee, ExternalRef):
-            effects["external"] = (callee.name, e.args)
-            return Par(())
-        if isinstance(callee, ServiceRef) and isinstance(callee.target, Addr):
-            entry = config.table.get(callee.target.address)
-            if isinstance(entry, Live):
-                effects["rcv"] = (callee.target.address, MessageValue(callee.service, e.args))
-                return Par(())
-        return None
-
-    new_expr = _rewrite_first(config.expr, deliver)
-    if new_expr is not None:
-        c = config.copy()
-        c.expr = new_expr
-        if "rcv" in effects:
-            addr, msg = effects["rcv"]
-            entry = c.table[addr]
-            assert isinstance(entry, Live)
-            c.table[addr] = Live(entry.template, entry.buffer + (msg,))
-            return Stepped(c, "Rcv", f"@{addr.id}")
-        name, args = effects["external"]
-        if name == "timer":
-            delay = args[0]
-            assert isinstance(delay, BaseLit) and isinstance(delay.value, int)
-            c.timers = c.timers + ((c.logical_time + delay.value, args[1]),)
-            return Stepped(c, "Timer", name)
-        c.observations = c.observations + ((c.logical_time, name, tuple(args)),)
-        return Stepped(c, "Obs", name)
-
-    # (3) rule React: round-robin over instances by address id, rules in
-    # definition order.
-    addrs = sorted((a for a, s in config.table.items() if isinstance(s, Live)), key=lambda a: a.id)
-    if addrs:
-        start = next((i for i, a in enumerate(addrs) if a.id >= policy.cursor), 0)
-        for k in range(len(addrs)):
-            addr = addrs[(start + k) % len(addrs)]
-            entry = config.table[addr]
-            assert isinstance(entry, Live)
-            for ridx, rule in enumerate(entry.template.rules):
-                m = match_patterns(rule.patterns, entry.buffer, policy)
-                if m is None:
-                    continue
-                subst = m.substitution()
-                subst[THIS] = Addr(addr)
-                body = substitute(rule.body, subst)
-                c = config.copy()
-                c.table[addr] = Live(entry.template, m.residual)
-                assert isinstance(c.expr, Par)
-                c.expr = Par(c.expr.exprs + (body,))
-                policy.cursor = addr.id + 1
-                return Stepped(c, "React", f"@{addr.id}/r{ridx + 1}")
-
-    # (4) contextual redexes: Spwn, Snap, Repl, TAppAbs, base operations, if.
-    def contract(e: Expr) -> Optional[Expr]:
-        if isinstance(e, Spwn) and is_value(e.expr):
-            img = _as_spawnable(e.expr)
-            if img is None:
-                raise StuckError(f"spwn applied to a non-image value: {pretty_expr(e.expr)}")
-            addr = Address(config.next_address, e.placement)
-            effects["spawn"] = (addr, img)
-            return Addr(addr)
-        if isinstance(e, Snap) and is_value(e.expr):
-            if not isinstance(e.expr, Addr):
-                raise StuckError(f"snap applied to a non-address value: {pretty_expr(e.expr)}")
-            entry = config.table.get(e.expr.address)
-            if entry is None:
-                raise StuckError(f"snap on unallocated address @{e.expr.address.id}")
-            effects["snap"] = e.expr.address
-            return image_of(entry)
-        if isinstance(e, Repl) and is_value(e.target) and is_value(e.image):
-            if not isinstance(e.target, Addr):
-                raise StuckError(f"repl applied to a non-address value: {pretty_expr(e.target)}")
-            if e.target.address not in config.table:
-                raise StuckError(f"repl on unallocated address @{e.target.address.id}")
-            img = _as_spawnable(e.image)
-            if img is None:
-                raise StuckError("repl applied to a non-image value")
-            effects["repl"] = (e.target.address, img)
-            return Par(())
-        if isinstance(e, TypeApp) and is_value(e.expr):
-            if not isinstance(e.expr, TypeAbs):
-                raise StuckError("type application of a non-universal value")
-            effects["tapp"] = True
-            return substitute_type_in_expr(e.expr.body, {e.expr.var: e.arg})
-        if isinstance(e, BaseOp) and all(is_value(a) for a in e.operands):
-            def take_fresh() -> int:
-                n = config.next_address + effects.setdefault("fresh_count", 0)
-                effects["fresh_count"] += 1
-                return n
-
-            fx = EffectContext(fresh_id=take_fresh, local_time=lambda: config.logical_time)
-            effects["base"] = True
-            return apply_builtin(e.op, e.operands, fx)
-        if isinstance(e, If) and is_value(e.cond):
-            if isinstance(e.cond, BaseLit) and isinstance(e.cond.value, bool):
-                effects["if"] = True
-                return e.then if e.cond.value else e.orelse
-            raise StuckError("if condition is not a boolean")
-        return None
-
-    new_expr = _rewrite_first(config.expr, contract)
-    if new_expr is not None:
-        c = config.copy()
-        c.expr = new_expr
-        if "spawn" in effects:
-            addr, img = effects["spawn"]
-            c.table[addr] = img
-            c.next_address += 1
-            return Stepped(c, "Spwn", f"@{addr.id}")
-        if "snap" in effects:
-            return Stepped(c, "Snap", f"@{effects['snap'].id}")
-        if "repl" in effects:
-            addr, img = effects["repl"]
-            c.table[addr] = img
-            c.replaces += 1
-            return Stepped(c, "Repl", f"@{addr.id}")
-        if "tapp" in effects:
-            return Stepped(c, "TAppAbs")
-        if effects.get("fresh_count"):
-            c.next_address += effects["fresh_count"]
-        if "base" in effects:
-            return Stepped(c, "Base")
-        return Stepped(c, "If")
-
+    One walk over the term finds the first Par redex, the first deliverable
+    request and the first contraction candidate. The priority is Par, then
+    Rcv, then React, then contraction, and only the redex taken is
+    contracted: a stuck term or a builtin elsewhere has no effect yet. React
+    reads the configuration's ready set instead of matching every instance.
+    """
+    par, rcv, red = _scan(config.expr, config.table, _CONTRACTIBLE)
+    if par is not None:
+        return Stepped(_replaced(config, par[1], _flatten_one(par[0])), "Par")
+    if rcv is not None:
+        return _receive(config, *rcv)
+    if config.ready:
+        return _react(config, policy)
+    if red is not None:
+        return _contract(config, *red)
     return None
+
+
+def _replaced(config: Config, pos: Position, r: Expr) -> Config:
+    c = config.copy()
+    c.expr = _plug(pos, r)
+    return c
+
+
+def _receive(config: Config, req: Request, pos: Position) -> Stepped:
+    """Rule Rcv, or an engine endpoint consuming the request."""
+    c = _replaced(config, pos, Par(()))
+    callee = req.callee
+    if isinstance(callee, ExternalRef):
+        if callee.name == "timer":
+            delay = req.args[0]
+            assert isinstance(delay, BaseLit) and isinstance(delay.value, int)
+            c.timers = c.timers + ((c.logical_time + delay.value, req.args[1]),)
+            return Stepped(c, "Timer", callee.name)
+        c.observations = c.observations + ((c.logical_time, callee.name, tuple(req.args)),)
+        return Stepped(c, "Obs", callee.name)
+    addr = callee.target.address
+    entry = c.table[addr]
+    grown = Live(entry.template, entry.buffer + (MessageValue(callee.service, req.args),))
+    if addr in c.ready:
+        c.table[addr] = grown  # one more message never disables a match
+    else:
+        c.put(addr, grown)
+    return Stepped(c, "Rcv", f"@{addr.id}")
+
+
+def _react(config: Config, policy: Policy) -> Stepped:
+    """Rule React on the first ready instance in round-robin order from the
+    cursor, with its first matching rule in definition order."""
+    after = [a for a in config.ready if a.id >= policy.cursor]
+    addr = min(after or config.ready, key=lambda a: a.id)
+    entry = config.table[addr]
+    for ridx, rule in enumerate(entry.template.rules):
+        m = match_patterns(rule.patterns, entry.buffer, policy)
+        if m is not None:
+            break
+    else:
+        raise AssertionError(f"@{addr.id} is ready but matches no rule")
+    subst = m.substitution()
+    subst[THIS] = Addr(addr)
+    c = config.copy()
+    c.put(addr, Live(entry.template, m.residual))
+    assert isinstance(c.expr, Par)
+    c.expr = Par(c.expr.exprs + (substitute(rule.body, subst),))
+    policy.cursor = addr.id + 1
+    return Stepped(c, "React", f"@{addr.id}/r{ridx + 1}")
+
+
+def _contract(config: Config, e: Expr, pos: Position) -> Stepped:
+    """Contract a Spwn, Snap, Repl, type application, base operation or if
+    whose evaluation subterms are values. Raises StuckError if it is stuck."""
+    c = config.copy()
+    detail = ""
+    if isinstance(e, Spwn):
+        img = _as_spawnable(e.expr)
+        if img is None:
+            raise StuckError(f"spwn applied to a non-image value: {pretty_expr(e.expr)}")
+        addr = Address(c.next_address, e.placement)
+        c.put(addr, img)
+        c.next_address += 1
+        rule, detail, r = "Spwn", f"@{addr.id}", Addr(addr)
+    elif isinstance(e, Snap):
+        if not isinstance(e.expr, Addr):
+            raise StuckError(f"snap applied to a non-address value: {pretty_expr(e.expr)}")
+        entry = config.table.get(e.expr.address)
+        if entry is None:
+            raise StuckError(f"snap on unallocated address @{e.expr.address.id}")
+        rule, detail, r = "Snap", f"@{e.expr.address.id}", image_of(entry)
+    elif isinstance(e, Repl):
+        if not isinstance(e.target, Addr):
+            raise StuckError(f"repl applied to a non-address value: {pretty_expr(e.target)}")
+        addr = e.target.address
+        if addr not in config.table:
+            raise StuckError(f"repl on unallocated address @{addr.id}")
+        img = _as_spawnable(e.image)
+        if img is None:
+            raise StuckError("repl applied to a non-image value")
+        c.put(addr, img)
+        c.replaces += 1
+        rule, detail, r = "Repl", f"@{addr.id}", Par(())
+    elif isinstance(e, TypeApp):
+        if not isinstance(e.expr, TypeAbs):
+            raise StuckError("type application of a non-universal value")
+        rule, r = "TAppAbs", substitute_type_in_expr(e.expr.body, {e.expr.var: e.arg})
+    elif isinstance(e, BaseOp):
+
+        def fresh_id() -> int:
+            c.next_address += 1
+            return c.next_address - 1
+
+        fx = EffectContext(fresh_id=fresh_id, local_time=lambda: c.logical_time)
+        rule, r = "Base", apply_builtin(e.op, e.operands, fx)
+    else:
+        assert isinstance(e, If)
+        if not (isinstance(e.cond, BaseLit) and isinstance(e.cond.value, bool)):
+            raise StuckError("if condition is not a boolean")
+        rule, r = "If", e.then if e.cond.value else e.orelse
+    c.expr = _plug(pos, r)
+    return Stepped(c, rule, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -590,41 +660,18 @@ def run(
 
 def _admin_close(config: Config) -> Config:
     """Apply deterministic, confluent administrative steps to a fixpoint:
-    Par flattening, base operations, conditionals, type applications."""
+    Par flattening, base operations, conditionals, type applications. Each
+    round finds the first such redex with `step`'s walk and contracts it as
+    `step` does, so a stuck one raises StuckError."""
     current = config
     for _ in range(100_000):
-        new_expr = _rewrite_first(current.expr, _flatten_one)
-        if new_expr is not None:
-            current = current.copy()
-            current.expr = new_expr
-            continue
-        effects: dict = {}
-
-        def contract(e: Expr) -> Optional[Expr]:
-            if isinstance(e, TypeApp) and is_value(e.expr) and isinstance(e.expr, TypeAbs):
-                return substitute_type_in_expr(e.expr.body, {e.expr.var: e.arg})
-            if isinstance(e, BaseOp) and all(is_value(a) for a in e.operands):
-                fx = EffectContext(
-                    fresh_id=lambda: _bump(effects, current),
-                    local_time=lambda: current.logical_time,
-                )
-                return apply_builtin(e.op, e.operands, fx)
-            if isinstance(e, If) and isinstance(e.cond, BaseLit) and isinstance(e.cond.value, bool):
-                return e.then if e.cond.value else e.orelse
-            return None
-
-        def _bump(eff: dict, cfg: Config) -> int:
-            n = cfg.next_address + eff.setdefault("fresh", 0)
-            eff["fresh"] = eff["fresh"] + 1
-            return n
-
-        new_expr = _rewrite_first(current.expr, contract)
-        if new_expr is None:
+        par, _, red = _scan(current.expr, None, _ADMINISTRATIVE)
+        if par is not None:
+            current = _replaced(current, par[1], _flatten_one(par[0]))
+        elif red is not None:
+            current = _contract(current, *red).config
+        else:
             return current
-        current = current.copy()
-        current.expr = new_expr
-        if effects.get("fresh"):
-            current.next_address += effects["fresh"]
     raise ExplosionError("administrative closure did not terminate")
 
 
@@ -633,17 +680,7 @@ def _successors(config: Config) -> Iterator[Config]:
     base = config
 
     # Every deliverable request, at every position.
-    def deliverable(e: Expr) -> bool:
-        if not isinstance(e, Request) or not all(is_value(a) for a in e.args):
-            return False
-        callee = e.callee
-        return isinstance(callee, ExternalRef) or (
-            isinstance(callee, ServiceRef)
-            and isinstance(callee.target, Addr)
-            and isinstance(base.table.get(callee.target.address), Live)
-        )
-
-    deliveries = [e for e in _eval_subterms(base.expr) if deliverable(e)]
+    deliveries = [e for e in _eval_subterms(base.expr) if isinstance(e, Request) and _deliverable(e, base.table)]
     for req in deliveries:
         c = base.copy()
         c.expr = _replace_once(base.expr, req, Par(()))
@@ -660,7 +697,7 @@ def _successors(config: Config) -> Iterator[Config]:
             addr = callee.target.address
             entry = c.table[addr]
             assert isinstance(entry, Live)
-            c.table[addr] = Live(entry.template, entry.buffer + (MessageValue(callee.service, req.args),))
+            c.put(addr, Live(entry.template, entry.buffer + (MessageValue(callee.service, req.args),)))
         yield c
 
     # Every React on every instance, rule, and complete match.
@@ -673,7 +710,7 @@ def _successors(config: Config) -> Iterator[Config]:
                 subst = m.substitution()
                 subst[THIS] = Addr(addr)
                 c = base.copy()
-                c.table[addr] = Live(entry.template, m.residual)
+                c.put(addr, Live(entry.template, m.residual))
                 assert isinstance(c.expr, Par)
                 c.expr = Par(c.expr.exprs + (substitute(rule.body, subst),))
                 yield c
@@ -699,7 +736,7 @@ def _successors(config: Config) -> Iterator[Config]:
             addr = Address(c.next_address, red.placement)
             img = _as_spawnable(red.expr)
             assert img is not None
-            c.table[addr] = img
+            c.put(addr, img)
             c.next_address += 1
             c.expr = _replace_once(base.expr, red, Addr(addr))
         elif isinstance(red, Snap):
@@ -708,40 +745,22 @@ def _successors(config: Config) -> Iterator[Config]:
             assert isinstance(red, Repl)
             img = _as_spawnable(red.image)
             assert img is not None
-            c.table[red.target.address] = img
+            c.put(red.target.address, img)
             c.expr = _replace_once(base.expr, red, Par(()))
         yield c
 
 
 def _eval_subterms(e: Expr) -> Iterator[Expr]:
     """The non-value subterms of e in evaluation position, in pre-order."""
-    stack = [e]
-    while stack:
-        x = stack.pop()
-        if is_value(x):
-            continue
-        yield x
-        shape = shape_of(x)
-        kids = shape.children(x)
-        stack.extend(reversed(kids if shape.evals is None else kids[: shape.evals]))
+    return (x for x, _ in _sites(e))
 
 
 def _replace_once(root: Expr, target: Expr, replacement: Expr) -> Expr:
     """Replace the first occurrence (by identity) of target within root."""
-    done = False
-
-    def f(e: Expr) -> Optional[Expr]:
-        nonlocal done
-        if done:
-            return None
-        if e is target:
-            done = True
-            return replacement
-        return None
-
-    out = _rewrite_first(root, f)
-    assert out is not None, "replacement target not found in evaluation position"
-    return out
+    for x, pos in _sites(root):
+        if x is target:
+            return _plug(pos, replacement)
+    raise AssertionError("replacement target not found in evaluation position")
 
 
 def enumerate_reachable(

@@ -12,6 +12,7 @@ from cpl.core import (
     JoinPattern,
     MessageValue,
     Par,
+    Placement,
     ReactionRule,
     Request,
     ServerTemplate,
@@ -153,6 +154,14 @@ class TestFreeVars:
     def test_template_frees(self):
         t = tpl(rule([pat("a", "x")], Request(Var("k"), (Var("x"), Var("y")))))
         assert free_vars(t) == {"k", "y"}
+
+
+class TestAddress:
+    def test_hash_agrees_with_equality(self):
+        assert Address(3) == Address(3) and hash(Address(3)) == hash(Address(3))
+        assert Address(3) != Address(3, Placement.LOCAL)
+        table = {Address(3): "remote", Address(3, Placement.LOCAL): "local"}
+        assert table[Address(3)] == "remote" and table[Address(3, Placement.LOCAL)] == "local"
 
 
 class TestValues:

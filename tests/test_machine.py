@@ -1,8 +1,11 @@
 """Small-step machine: rule behavior, golden factorial trace, determinism,
 bounded exploration."""
 
+import hashlib
+
 import pytest
 
+import cpl.machine
 import cpl.toolchain as tc
 from cpl.core import (
     Addr,
@@ -12,7 +15,9 @@ from cpl.core import (
     If,
     Image,
     JoinPattern,
+    MessageValue,
     ReactionRule,
+    Repl,
     ServerTemplate,
     Top,
     TypeAbs,
@@ -41,6 +46,7 @@ from cpl.machine import (
     terminal_configs,
 )
 from cpl.parser import parse_expr
+from cpl.pretty import pretty_expr
 from conftest import FACT_SRC, run_ss, ss_obs
 
 
@@ -180,6 +186,112 @@ class TestEvaluationPositions:
         assert step(cfg, deterministic(0)) is None
 
 
+def _ready_from_table(config):
+    """The ready set recomputed from scratch by a config built without one."""
+    return Config(config.expr, dict(config.table), config.next_address).ready
+
+
+def _one_message(tmpl_src):
+    return parse_expr(tmpl_src), (MessageValue("a", (BaseLit(1),)),)
+
+
+class TestReadySet:
+    def test_hand_built_table_with_matching_buffer_reacts(self):
+        tmpl, buffer = _one_message("srv { b<> :> par  a<x: Int> :> par }")
+        addr = Address(0)
+        cfg = Config(Par(()), {addr: Live(tmpl, buffer)}, 1)
+        assert cfg.ready == {addr}
+        s = step(cfg, deterministic(0))
+        assert (s.rule, s.detail) == ("React", "@0/r2")
+        assert s.config.table[addr] == Live(tmpl, ())
+        assert s.config.ready == set() and cfg.ready == {addr}
+
+    @pytest.mark.parametrize("seed, order", [(0, ["@0/r1", "@1/r1", "@1/r1"]), (1, ["@1/r1", "@0/r1", "@1/r1"])])
+    def test_round_robin_from_cursor(self, seed, order):
+        tmpl, buffer = _one_message("srv { a<x: Int> :> par }")
+        table = {Address(0): Live(tmpl, buffer), Address(1): Live(tmpl, buffer + buffer)}
+        policy = deterministic(seed)
+        current, reacts = Config(Par(()), table, 2), []
+        while (s := step(current, policy)) is not None:
+            if s.rule == "React":
+                reacts.append(s.detail)
+            current = s.config
+        # Each firing moves the cursor past the instance that fired; @1 holds
+        # two messages and fires twice.
+        assert reacts == order
+
+    def test_repl_of_inert_with_matching_image_reacts_next(self):
+        tmpl, buffer = _one_message("srv { a<x: Int> :> par }")
+        addr = Address(0)
+        cfg = Config(Par((Repl(Addr(addr), Image(tmpl, buffer)),)), {addr: Inert()}, 1)
+        assert cfg.ready == set()
+        s = step(cfg, deterministic(0))
+        assert s.rule == "Repl" and s.config.ready == {addr}
+        rules = []
+        current = s.config
+        while (s := step(current, deterministic(0))) is not None:
+            rules.append(f"{s.rule} {s.detail}".strip())
+            current = s.config
+        assert rules == ["Par", "React @0/r1", "Par"]
+
+    def test_reassigned_expr_after_copy_steps_correctly(self):
+        tmpl, buffer = _one_message("srv { a<x: Int> :> par }")
+        addr = Address(0)
+        cfg = Config(Par(()), {addr: Live(tmpl, buffer)}, 1)
+        nested = cfg.copy()
+        nested.expr = Par((Par(()), BaseOp("add", (BaseLit(1), BaseLit(1)))))
+        assert step(nested, deterministic(0)).rule == "Par"
+        flat = cfg.copy()
+        flat.expr = Par((BaseOp("add", (BaseLit(1), BaseLit(1))),))
+        rules = []
+        current = flat
+        while (s := step(current, deterministic(0))) is not None:
+            rules.append(s.rule)
+            current = s.config
+        assert rules == ["React", "Par", "Base"]  # React goes before contraction
+        assert current.expr == Par((BaseLit(2),))
+
+    @pytest.mark.parametrize("name", ["fact.cpl", "supervision_demo.cpl"])
+    def test_stepping_is_pure_and_ready_set_exact(self, name):
+        current = boot(tc.example_source(name), prelude=True)
+        seen = set()
+        while True:
+            table, ready = dict(current.table), set(current.ready)
+            assert ready == _ready_from_table(current)
+            s1 = step(current, deterministic(3))
+            s2 = step(current, deterministic(3))
+            assert s1 == s2
+            assert current.table == table and current.ready == ready
+            if s1 is None:
+                break
+            assert s1.config.ready == s2.config.ready
+            seen.add(s1.rule)
+            current = s1.config
+        assert {"Rcv", "React", "Spwn"} <= seen
+        if name == "supervision_demo.cpl":
+            assert {"Snap", "Repl"} <= seen
+
+    def test_match_calls_per_step_are_bounded(self, monkeypatch):
+        calls = steps = 0
+        match, inner = cpl.machine.match_patterns, cpl.machine.step
+
+        def counting_match(*args):
+            nonlocal calls
+            calls += 1
+            return match(*args)
+
+        def counting_step(*args):
+            nonlocal steps
+            steps += 1
+            return inner(*args)
+
+        monkeypatch.setattr(cpl.machine, "match_patterns", counting_match)
+        monkeypatch.setattr(cpl.machine, "step", counting_step)
+        res = run_ss(tc.example_source("wordcount.cpl"), prelude=True, max_steps=5_000_000)
+        assert res.status == COMPLETED and steps > 5_000
+        assert calls <= 2 * steps
+
+
 class TestRun:
     def test_factorial_golden_sequence(self):
         loaded = tc.load_program(tc.example_source("fact.cpl"), include_prelude=False)
@@ -288,3 +400,42 @@ class TestPolicyAndBounds:
         cfg = initial_config(tc.wire_observers(loaded.core))
         with _pytest.raises(ExplosionError):
             enumerate_reachable(cfg, depth=40, state_cap=200)
+
+
+# sha256 over every `step` call of `run_smallstep` with the prelude: one line
+# "<rule> <detail>" per step and "-" when step reports no redex (run then
+# fires timers or stops), then the run status and the final observations.
+# Taken from the scheduler that scanned every instance on every step, before
+# the ready set replaced it; both must choose the same redex at every step.
+SCHEDULE_FINGERPRINTS = {
+    "fact.cpl": "130b253c131bc8802367696443814a25d5e44782c2a707fe4653e5604b708e3b",
+    "stuck.cpl": "d98f36d8919cb3152fdeb66fcbf319cfd9825097fff74113396e734bf92de837",
+    "supervision_demo.cpl": "52ec9926da3b12c633731b2b91061154eedf8c0540c4157c296d0f84662a5eb6",
+    "wordcount.cpl": "798f7d9d461262b9163d4bba9c1aa2658faf812e5960a50850d8a2c4371c73c4",
+    "wordcount_lb.cpl": "5bb30763021b48df64d6c0329cde2852872337d4e30f2900febe29829eef802f",
+}
+
+
+def schedule_fingerprint(monkeypatch, name, seed):
+    h = hashlib.sha256()
+    inner = cpl.machine.step
+
+    def recording(config, policy):
+        s = inner(config, policy)
+        h.update(b"-\n" if s is None else f"{s.rule} {s.detail}\n".encode())
+        return s
+
+    loaded = tc.load_program(tc.example_source(name))
+    with monkeypatch.context() as m:
+        m.setattr(cpl.machine, "step", recording)
+        res = tc.run_smallstep(loaded.core, seed=seed)
+    h.update(f"{res.status}\n".encode())
+    for t, svc, args in res.observations:
+        h.update(f"{t} {svc} {','.join(pretty_expr(a) for a in args)}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(SCHEDULE_FINGERPRINTS))
+def test_schedule_fingerprint(monkeypatch, name, seed):
+    assert schedule_fingerprint(monkeypatch, name, seed) == SCHEDULE_FINGERPRINTS[name]
