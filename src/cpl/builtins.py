@@ -1,26 +1,42 @@
-"""Synchronous base operations: the toolchain's primitive data layer.
+"""Base operations: one table, `OPS`, describes each of them once.
 
-Arithmetic and collections are pure; freshID/localTime are impure and are
-routed through an EffectContext supplied by the executing engine. Collection
-operations are dynamically kind-checked because buffers and lists may hold
-arbitrary values.
+An `Op` holds an operation's arity, its evaluator and its type rule.
+
+- The evaluator runs over value operands. It checks their kinds at run time,
+  because buffers and lists may hold arbitrary values. freshID/localTime are
+  impure and go through the `EffectContext` of the executing engine.
+- The type rule is written against `Operands`, a view of the operands that
+  its caller supplies. The typechecker's view checks each operand and raises
+  its type errors. The desugarer's view, used to synthesize `let`
+  annotations, skips the checks and gives up on operands it cannot type.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NoReturn, Optional, Protocol
 
 from .core import (
     BaseLit,
+    BaseT,
+    Bot,
+    DataT,
     Expr,
     Image,
+    ImgT,
     ListV,
     MapV,
     TupleV,
+    TypeExpr,
     is_value,
 )
 from .errors import MachineError
+
+INT = BaseT("Int")
+BOOL = BaseT("Bool")
+STRING = BaseT("String")
+PROJECTIONS = ("fst", "snd", "thrd", "frth")
 
 
 @dataclass
@@ -31,230 +47,350 @@ class EffectContext:
     local_time: Callable[[], int]
 
 
-def _int(e: Expr, op: str) -> int:
-    if isinstance(e, BaseLit) and isinstance(e.value, int) and not isinstance(e.value, bool):
+class Operands(Protocol):
+    """The operands of one base operation, as its type rule sees them."""
+
+    op: str
+
+    def type(self, i: int) -> TypeExpr:
+        """Operand i's type, type variables kept."""
+
+    def shape(self, i: int) -> TypeExpr:
+        """Operand i's type, type variables replaced by their bounds."""
+
+    def want(self, i: int, t: TypeExpr) -> None:
+        """Require operand i to be a subtype of t."""
+
+    def want_key(self, i: int, key: TypeExpr) -> None:
+        """Require operand i to be a subtype or a supertype of a map's key type."""
+
+    def join(self, t: TypeExpr, u: TypeExpr) -> TypeExpr:
+        """The larger of two types, one of which must be a subtype of the other."""
+
+    def fail(self, kind: str, msg: str, expected: Optional[TypeExpr] = None,
+             actual: Optional[TypeExpr] = None) -> NoReturn:
+        """Reject the operands."""
+
+
+@dataclass(frozen=True)
+class Op:
+    arity: int
+    run: Callable[[tuple[Expr, ...], EffectContext], Expr]
+    rule: Callable[[Operands], TypeExpr]
+
+
+# Evaluators ------------------------------------------------------------------
+
+
+class _Fault(Exception):
+    """A run-time fault; `apply_builtin` names the operation."""
+
+
+def _lit_value(e: Expr, kinds: tuple[type, ...], what: str):
+    # Python's bool is an int; a Bool operand is taken only where bool is asked for.
+    if isinstance(e, BaseLit) and isinstance(e.value, kinds) and (bool in kinds or not isinstance(e.value, bool)):
         return e.value
-    raise MachineError(f"{op}: expected an Int, got {e!r}")
+    raise _Fault(f"expected {what}, got {e!r}")
 
 
-def _num(e: Expr, op: str) -> int | float:
-    if isinstance(e, BaseLit) and isinstance(e.value, (int, float)) and not isinstance(e.value, bool):
-        return e.value
-    raise MachineError(f"{op}: expected a number, got {e!r}")
+def _num(e: Expr) -> int | float:
+    return _lit_value(e, (int, float), "a number")
 
 
-def _bool(e: Expr, op: str) -> bool:
-    if isinstance(e, BaseLit) and isinstance(e.value, bool):
-        return e.value
-    raise MachineError(f"{op}: expected a Bool, got {e!r}")
+def _bool(e: Expr) -> bool:
+    return _lit_value(e, (bool,), "a Bool")
 
 
-def _str(e: Expr, op: str) -> str:
-    if isinstance(e, BaseLit) and isinstance(e.value, str):
-        return e.value
-    raise MachineError(f"{op}: expected a String, got {e!r}")
+def _str(e: Expr) -> str:
+    return _lit_value(e, (str,), "a String")
 
 
-def _list(e: Expr, op: str) -> ListV:
-    if isinstance(e, ListV):
+def _node(e: Expr, cls: type, what: str):
+    if isinstance(e, cls):
         return e
-    raise MachineError(f"{op}: expected a List, got {e!r}")
+    raise _Fault(f"expected {what}, got {e!r}")
 
 
-def _tuple(e: Expr, op: str) -> TupleV:
-    if isinstance(e, TupleV):
-        return e
-    raise MachineError(f"{op}: expected a tuple, got {e!r}")
+def _items(e: Expr) -> tuple[Expr, ...]:
+    return _node(e, ListV, "a List").items
 
 
-def _map(e: Expr, op: str) -> MapV:
-    if isinstance(e, MapV):
-        return e
-    raise MachineError(f"{op}: expected a Map, got {e!r}")
-
-
-def _lit(v: int | bool | float | str) -> BaseLit:
-    return BaseLit(v)
+def _entries(e: Expr) -> tuple[tuple[Expr, Expr], ...]:
+    return _node(e, MapV, "a Map").entries
 
 
 def _values_equal(a: Expr, b: Expr) -> bool:
-    # Structural equality on values; distinct kinds compare unequal.
+    """Structural equality on values; distinct kinds compare unequal, also
+    inside tuples, lists and maps, so `true` is neither `1` nor `1.0` (Python's
+    own `==` says it is). Int and Float compare as numbers: `1 == 1.0`."""
+    if isinstance(a, BaseLit) and isinstance(b, BaseLit):
+        return a.value == b.value and isinstance(a.value, bool) == isinstance(b.value, bool)
+    if isinstance(a, (TupleV, ListV)) and type(a) is type(b):
+        return len(a.items) == len(b.items) and all(map(_values_equal, a.items, b.items))
+    if isinstance(a, MapV) and isinstance(b, MapV):
+        return len(a.entries) == len(b.entries) and all(
+            _values_equal(k, l) and _values_equal(v, w) for (k, v), (l, w) in zip(a.entries, b.entries)
+        )
     return a == b
 
 
-def _proj(idx: int, name: str):
-    def run(args: tuple[Expr, ...], fx: EffectContext) -> Expr:
-        t = _tuple(args[0], name)
-        if len(t.items) <= idx:
-            raise MachineError(f"{name}: tuple has only {len(t.items)} components")
-        return t.items[idx]
-
-    return run
-
-
-def _map_get(m: MapV, key: Expr) -> Optional[Expr]:
-    for k, v in m.entries:
+def _map_get(m: Expr, key: Expr) -> Optional[Expr]:
+    for k, v in _entries(m):
         if _values_equal(k, key):
             return v
     return None
 
 
-def _map_put(m: MapV, key: Expr, val: Expr) -> MapV:
-    entries = tuple((k, v) for k, v in m.entries if not _values_equal(k, key))
-    return MapV(entries + ((key, val),))
+def _map_put(m: Expr, key: Expr, val: Expr) -> MapV:
+    return MapV(tuple((k, v) for k, v in _entries(m) if not _values_equal(k, key)) + ((key, val),))
 
 
-ARITY: dict[str, int] = {}
-_IMPL: dict[str, Callable[[tuple[Expr, ...], EffectContext], Expr]] = {}
+def _numeric(fn: Callable[[int | float, int | float], int | float | bool]):
+    return lambda args, fx: BaseLit(fn(_num(args[0]), _num(args[1])))
 
 
-def _register(name: str, arity: int, fn: Callable[[tuple[Expr, ...], EffectContext], Expr]) -> None:
-    ARITY[name] = arity
-    _IMPL[name] = fn
-
-
-def _arith(name: str, fn: Callable[[int | float, int | float], int | float]) -> None:
+def _project(idx: int):
     def run(args: tuple[Expr, ...], fx: EffectContext) -> Expr:
-        a, b = _num(args[0], name), _num(args[1], name)
-        try:
-            return _lit(fn(a, b))
-        except ZeroDivisionError:
-            raise MachineError(f"{name}: division by zero") from None
+        items = _node(args[0], TupleV, "a tuple").items
+        if len(items) <= idx:
+            raise _Fault(f"tuple has only {len(items)} components")
+        return items[idx]
 
-    _register(name, 2, run)
-
-
-def _cmp(name: str, fn: Callable[[int | float, int | float], bool]) -> None:
-    def run(args: tuple[Expr, ...], fx: EffectContext) -> Expr:
-        return _lit(fn(_num(args[0], name), _num(args[1], name)))
-
-    _register(name, 2, run)
+    return run
 
 
-_arith("add", lambda a, b: a + b)
-_arith("sub", lambda a, b: a - b)
-_arith("mul", lambda a, b: a * b)
-_arith("div", lambda a, b: a // b if isinstance(a, int) and isinstance(b, int) else a / b)
-_arith("mod", lambda a, b: a % b)
-_arith("max", max)
-_arith("min", min)
-_cmp("le", lambda a, b: a <= b)
-_cmp("lt", lambda a, b: a < b)
-_cmp("ge", lambda a, b: a >= b)
-_cmp("gt", lambda a, b: a > b)
-
-_register("eq", 2, lambda args, fx: _lit(_values_equal(args[0], args[1])))
-_register("neq", 2, lambda args, fx: _lit(not _values_equal(args[0], args[1])))
-_register("not", 1, lambda args, fx: _lit(not _bool(args[0], "not")))
-_register("and", 2, lambda args, fx: _lit(_bool(args[0], "and") and _bool(args[1], "and")))
-_register("or", 2, lambda args, fx: _lit(_bool(args[0], "or") or _bool(args[1], "or")))
-
-_register("fst", 1, _proj(0, "fst"))
-_register("snd", 1, _proj(1, "snd"))
-_register("thrd", 1, _proj(2, "thrd"))
-_register("frth", 1, _proj(3, "frth"))
-
-_register("head", 1, lambda args, fx: _head(args))
-_register("tail", 1, lambda args, fx: _tail(args))
-_register("cons", 2, lambda args, fx: ListV((args[0],) + _list(args[1], "cons").items))
-_register("isEmpty", 1, lambda args, fx: _lit(len(_list(args[0], "isEmpty").items) == 0))
-_register("append", 2, lambda args, fx: ListV(_list(args[0], "append").items + _list(args[1], "append").items))
-_register("reverse", 1, lambda args, fx: ListV(tuple(reversed(_list(args[0], "reverse").items))))
-_register("range", 2, lambda args, fx: ListV(tuple(_lit(i) for i in range(_int(args[0], "range"), _int(args[1], "range") + 1))))
-
-_register("len", 1, lambda args, fx: _lit(len(_str(args[0], "len"))))
-_register("split", 1, lambda args, fx: ListV(tuple(_lit(w) for w in _str(args[0], "split").split())))
-_register("concat", 2, lambda args, fx: _lit(_str(args[0], "concat") + _str(args[1], "concat")))
-
-_register("freshID", 0, lambda args, fx: _lit(fx.fresh_id()))
-_register("localTime", 0, lambda args, fx: _lit(fx.local_time()))
+def _nonempty(e: Expr) -> tuple[Expr, ...]:
+    items = _items(e)
+    if not items:
+        raise _Fault("empty list")
+    return items
 
 
-def _head(args: tuple[Expr, ...]) -> Expr:
-    xs = _list(args[0], "head")
-    if not xs.items:
-        raise MachineError("head: empty list")
-    return xs.items[0]
-
-
-def _tail(args: tuple[Expr, ...]) -> Expr:
-    xs = _list(args[0], "tail")
-    if not xs.items:
-        raise MachineError("tail: empty list")
-    return ListV(xs.items[1:])
+def _range(args: tuple[Expr, ...], fx: EffectContext) -> Expr:
+    lo, hi = (_lit_value(a, (int,), "an Int") for a in args)
+    return ListV(tuple(BaseLit(i) for i in range(lo, hi + 1)))
 
 
 def _size(args: tuple[Expr, ...], fx: EffectContext) -> Expr:
     v = args[0]
     if isinstance(v, ListV):
-        return _lit(len(v.items))
+        return BaseLit(len(v.items))
     if isinstance(v, MapV):
-        return _lit(len(v.entries))
-    raise MachineError(f"size: expected a List or Map, got {v!r}")
-
-
-_register("size", 1, _size)
+        return BaseLit(len(v.entries))
+    raise _Fault(f"expected a List or Map, got {v!r}")
 
 
 def _mk_map(args: tuple[Expr, ...], fx: EffectContext) -> Expr:
-    pairs = _list(args[0], "mkMap")
     m = MapV(())
-    for p in pairs.items:
-        t = _tuple(p, "mkMap")
-        if len(t.items) != 2:
-            raise MachineError("mkMap: entries must be pairs")
-        m = _map_put(m, t.items[0], t.items[1])
+    for p in _items(args[0]):
+        pair = _node(p, TupleV, "a tuple").items
+        if len(pair) != 2:
+            raise _Fault("entries must be pairs")
+        m = _map_put(m, pair[0], pair[1])
     return m
 
 
-_register("mkMap", 1, _mk_map)
-
-
 def _get(args: tuple[Expr, ...], fx: EffectContext) -> Expr:
-    v = _map_get(_map(args[0], "get"), args[1])
+    v = _map_get(args[0], args[1])
     if v is None:
-        raise MachineError(f"get: missing key {args[1]!r}")
+        raise _Fault(f"missing key {args[1]!r}")
     return v
 
 
 def _get_or(args: tuple[Expr, ...], fx: EffectContext) -> Expr:
-    v = _map_get(_map(args[0], "getOr"), args[1])
+    v = _map_get(args[0], args[1])
     return args[2] if v is None else v
-
-
-_register("get", 2, _get)
-_register("getOr", 3, _get_or)
-_register("put", 3, lambda args, fx: _map_put(_map(args[0], "put"), args[1], args[2]))
-_register("hasKey", 2, lambda args, fx: _lit(_map_get(_map(args[0], "hasKey"), args[1]) is not None))
-_register("keys", 1, lambda args, fx: ListV(tuple(k for k, _ in _map(args[0], "keys").entries)))
-_register("items", 1, lambda args, fx: ListV(tuple(TupleV((k, v)) for k, v in _map(args[0], "items").entries)))
-_register("mapValues", 1, lambda args, fx: ListV(tuple(v for _, v in _map(args[0], "mapValues").entries)))
 
 
 def _filter_buffer(args: tuple[Expr, ...], fx: EffectContext) -> Expr:
     img, names = args
-    drop = {_str(n, "filterBuffer") for n in _list(names, "filterBuffer").items}
-    if not isinstance(img, Image):
-        raise MachineError(f"filterBuffer: expected a server image, got {img!r}")
-    kept = tuple(m for m in img.buffer if m.service not in drop)
-    return Image(img.template, kept)
+    drop = {_str(n) for n in _items(names)}
+    img = _node(img, Image, "a server image")
+    return Image(img.template, tuple(m for m in img.buffer if m.service not in drop))
 
 
-_register("filterBuffer", 2, _filter_buffer)
+# Type rules ------------------------------------------------------------------
+
+
+def _list_of(t: TypeExpr) -> DataT:
+    return DataT("List", (t,))
+
+
+def _typed(result: TypeExpr, *operands: TypeExpr) -> Callable[[Operands], TypeExpr]:
+    """The rule of an operation whose operands have fixed types."""
+
+    def rule(v: Operands) -> TypeExpr:
+        for i, t in enumerate(operands):
+            v.want(i, t)
+        return result
+
+    return rule
+
+
+def _elem(v: Operands, i: int) -> TypeExpr:
+    """The element type of list operand i."""
+    t = v.shape(i)
+    if isinstance(t, DataT) and t.ctor == "List":
+        return t.args[0]
+    if isinstance(t, Bot):
+        return t
+    v.fail("NotASubtype", f"{v.op}: operand {i + 1} must be a List", actual=t)
+
+
+def _entry(v: Operands, i: int) -> tuple[TypeExpr, TypeExpr]:
+    """The key and value types of map operand i."""
+    t = v.shape(i)
+    if isinstance(t, DataT) and t.ctor == "Map":
+        return t.args[0], t.args[1]
+    if isinstance(t, Bot):
+        return t, t
+    v.fail("NotASubtype", f"{v.op}: operand {i + 1} must be a Map", actual=t)
+
+
+def _component(idx: int) -> Callable[[Operands], TypeExpr]:
+    def rule(v: Operands) -> TypeExpr:
+        t = v.shape(0)
+        if isinstance(t, DataT) and t.ctor == "Tuple" and len(t.args) > idx:
+            return t.args[idx]
+        v.fail("NotASubtype", f"{v.op}: operand must be a wide-enough tuple", actual=t)
+
+    return rule
+
+
+def _shaped(check: Callable[[Operands, int], object], result: TypeExpr) -> Callable[[Operands], TypeExpr]:
+    """The rule of an operation that needs only operand 1's shape: `check`."""
+
+    def rule(v: Operands) -> TypeExpr:
+        check(v, 0)
+        return result
+
+    return rule
+
+
+def _size_t(v: Operands) -> TypeExpr:
+    t = v.shape(0)
+    if isinstance(t, DataT) and t.ctor in ("List", "Map"):
+        return INT
+    v.fail("NotASubtype", "size: operand must be a List or Map", actual=t)
+
+
+def _mk_map_t(v: Operands) -> TypeExpr:
+    elem = _elem(v, 0)
+    if isinstance(elem, DataT) and elem.ctor == "Tuple" and len(elem.args) == 2:
+        return DataT("Map", elem.args)
+    if isinstance(elem, Bot):
+        return DataT("Map", (elem, elem))
+    v.fail("NotASubtype", "mkMap: operand must be a list of pairs", actual=v.type(0))
+
+
+def _get_t(v: Operands) -> TypeExpr:
+    key, val = _entry(v, 0)
+    v.want_key(1, key)
+    return val
+
+
+def _put_t(v: Operands) -> TypeExpr:
+    key, val = _entry(v, 0)
+    return DataT("Map", (v.join(key, v.type(1)), v.join(val, v.type(2))))
+
+
+def _filter_buffer_t(v: Operands) -> TypeExpr:
+    t = v.shape(0)
+    if not isinstance(t, ImgT):
+        v.fail("NotAnImage", "filterBuffer: operand must be an image", actual=t)
+    v.want(1, _list_of(STRING))
+    return t
+
+
+# The table -------------------------------------------------------------------
+
+_ARITH = _typed(INT, INT, INT)
+_CMP = _typed(BOOL, INT, INT)
+_LOGIC = _typed(BOOL, BOOL, BOOL)
+
+
+def _div(a: int | float, b: int | float) -> int | float:
+    return a // b if isinstance(a, int) and isinstance(b, int) else a / b
+
+
+OPS: dict[str, Op] = {
+    "add": Op(2, _numeric(operator.add), _ARITH),
+    "sub": Op(2, _numeric(operator.sub), _ARITH),
+    "mul": Op(2, _numeric(operator.mul), _ARITH),
+    "div": Op(2, _numeric(_div), _ARITH),
+    "mod": Op(2, _numeric(operator.mod), _ARITH),
+    "max": Op(2, _numeric(max), _ARITH),
+    "min": Op(2, _numeric(min), _ARITH),
+    "le": Op(2, _numeric(operator.le), _CMP),
+    "lt": Op(2, _numeric(operator.lt), _CMP),
+    "ge": Op(2, _numeric(operator.ge), _CMP),
+    "gt": Op(2, _numeric(operator.gt), _CMP),
+    "eq": Op(2, lambda args, fx: BaseLit(_values_equal(*args)), lambda v: BOOL),
+    "neq": Op(2, lambda args, fx: BaseLit(not _values_equal(*args)), lambda v: BOOL),
+    "not": Op(1, lambda args, fx: BaseLit(not _bool(args[0])), _typed(BOOL, BOOL)),
+    "and": Op(2, lambda args, fx: BaseLit(_bool(args[0]) and _bool(args[1])), _LOGIC),
+    "or": Op(2, lambda args, fx: BaseLit(_bool(args[0]) or _bool(args[1])), _LOGIC),
+    **{name: Op(1, _project(i), _component(i)) for i, name in enumerate(PROJECTIONS)},
+    "head": Op(1, lambda args, fx: _nonempty(args[0])[0], lambda v: _elem(v, 0)),
+    "tail": Op(1, lambda args, fx: ListV(_nonempty(args[0])[1:]), lambda v: _list_of(_elem(v, 0))),
+    "cons": Op(
+        2, lambda args, fx: ListV((args[0],) + _items(args[1])),
+        lambda v: _list_of(v.join(v.type(0), _elem(v, 1))),
+    ),
+    "isEmpty": Op(1, lambda args, fx: BaseLit(not _items(args[0])), _shaped(_elem, BOOL)),
+    "append": Op(
+        2, lambda args, fx: ListV(_items(args[0]) + _items(args[1])),
+        lambda v: _list_of(v.join(_elem(v, 0), _elem(v, 1))),
+    ),
+    "reverse": Op(1, lambda args, fx: ListV(_items(args[0])[::-1]), lambda v: _list_of(_elem(v, 0))),
+    "range": Op(2, _range, _typed(_list_of(INT), INT, INT)),
+    "len": Op(1, lambda args, fx: BaseLit(len(_str(args[0]))), _typed(INT, STRING)),
+    "split": Op(
+        1, lambda args, fx: ListV(tuple(BaseLit(w) for w in _str(args[0]).split())),
+        _typed(_list_of(STRING), STRING),
+    ),
+    "concat": Op(2, lambda args, fx: BaseLit(_str(args[0]) + _str(args[1])), _typed(STRING, STRING, STRING)),
+    "freshID": Op(0, lambda args, fx: BaseLit(fx.fresh_id()), _typed(INT)),
+    "localTime": Op(0, lambda args, fx: BaseLit(fx.local_time()), _typed(INT)),
+    "size": Op(1, _size, _size_t),
+    "mkMap": Op(1, _mk_map, _mk_map_t),
+    "get": Op(2, _get, _get_t),
+    "getOr": Op(3, _get_or, lambda v: v.join(_entry(v, 0)[1], v.type(2))),
+    "put": Op(3, lambda args, fx: _map_put(*args), _put_t),
+    "hasKey": Op(2, lambda args, fx: BaseLit(_map_get(args[0], args[1]) is not None), _shaped(_entry, BOOL)),
+    "keys": Op(
+        1, lambda args, fx: ListV(tuple(k for k, _ in _entries(args[0]))),
+        lambda v: _list_of(_entry(v, 0)[0]),
+    ),
+    "items": Op(
+        1, lambda args, fx: ListV(tuple(TupleV(kv) for kv in _entries(args[0]))),
+        lambda v: _list_of(DataT("Tuple", _entry(v, 0))),
+    ),
+    "mapValues": Op(
+        1, lambda args, fx: ListV(tuple(v for _, v in _entries(args[0]))),
+        lambda v: _list_of(_entry(v, 0)[1]),
+    ),
+    "filterBuffer": Op(2, _filter_buffer, _filter_buffer_t),
+}
 
 
 def is_builtin(name: str) -> bool:
-    return name in _IMPL
+    return name in OPS
 
 
-def apply_builtin(op: str, args: tuple[Expr, ...], fx: EffectContext) -> Expr:
+def apply_builtin(name: str, args: tuple[Expr, ...], fx: EffectContext) -> Expr:
     """Evaluate one base operation over value operands."""
-    impl = _IMPL.get(op)
-    if impl is None:
-        raise MachineError(f"unknown base operation {op!r}")
-    if len(args) != ARITY[op]:
-        raise MachineError(f"{op}: expected {ARITY[op]} operands, got {len(args)}")
+    op = OPS.get(name)
+    if op is None:
+        raise MachineError(f"unknown base operation {name!r}")
+    if len(args) != op.arity:
+        raise MachineError(f"{name}: expected {op.arity} operands, got {len(args)}")
     for a in args:
         if not is_value(a):
-            raise MachineError(f"{op}: operand not a value: {a!r}")
-    return impl(args, fx)
+            raise MachineError(f"{name}: operand not a value: {a!r}")
+    try:
+        return op.run(args, fx)
+    except _Fault as exc:
+        raise MachineError(f"{name}: {exc}") from None
+    except ZeroDivisionError:
+        raise MachineError(f"{name}: division by zero") from None

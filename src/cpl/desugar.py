@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from .builtins import OPS, PROJECTIONS
 from .core import (
     THIS,
     AliasT,
@@ -58,36 +59,52 @@ from .core import (
 )
 from .errors import DesugarError, Loc
 from .parser import Program, SApply, SLambda, SLet, SLetK, SThunk
+from .typecheck import TypeCheckError, TypeContext, join, promote
 
 TypeEnv = Mapping[str, TypeExpr]
 
-_BASEOP_RESULTS = {
-    "add": BaseT("Int"),
-    "sub": BaseT("Int"),
-    "mul": BaseT("Int"),
-    "div": BaseT("Int"),
-    "mod": BaseT("Int"),
-    "max": BaseT("Int"),
-    "min": BaseT("Int"),
-    "le": BaseT("Bool"),
-    "lt": BaseT("Bool"),
-    "ge": BaseT("Bool"),
-    "gt": BaseT("Bool"),
-    "eq": BaseT("Bool"),
-    "neq": BaseT("Bool"),
-    "not": BaseT("Bool"),
-    "and": BaseT("Bool"),
-    "or": BaseT("Bool"),
-    "isEmpty": BaseT("Bool"),
-    "hasKey": BaseT("Bool"),
-    "size": BaseT("Int"),
-    "len": BaseT("Int"),
-    "freshID": BaseT("Int"),
-    "localTime": BaseT("Int"),
-    "split": DataT("List", (BaseT("String"),)),
-    "range": DataT("List", (BaseT("Int"),)),
-    "concat": BaseT("String"),
-}
+# A type variable's bound is kept in the env under this prefix and the
+# variable's name; no term variable's name starts with it.
+_BOUND = "<:"
+
+
+class _Unknown(Exception):
+    """Annotation synthesis cannot tell an operand's type."""
+
+
+class _Synthesized:
+    """Annotation synthesis' view of a base operation's operands
+    (`builtins.Operands`): no operand is checked, and an operand is typed
+    only when the rule asks for its type. A rule that rejects the operands
+    gives no annotation, never a wrong one.
+    """
+
+    def __init__(self, d: "Desugarer", e: BaseOp, env: TypeEnv):
+        self.d, self.e, self.env, self.op = d, e, env, e.op
+
+    def type(self, i: int) -> TypeExpr:
+        t = self.d.synth(self.e.operands[i], self.env) if i < len(self.e.operands) else None
+        if t is None:
+            raise _Unknown
+        return t
+
+    def shape(self, i: int) -> TypeExpr:
+        return promote(self._bounds(), self.type(i))
+
+    def want(self, i: int, t: TypeExpr) -> None:
+        pass
+
+    want_key = want
+
+    def join(self, t: TypeExpr, u: TypeExpr) -> TypeExpr:
+        return join(self._bounds(), t, u, None, self.op)
+
+    def fail(self, *args, **kwargs):
+        raise _Unknown
+
+    def _bounds(self) -> TypeContext:
+        n = len(_BOUND)
+        return TypeContext(tuple(("tvar", k[n:], t) for k, t in self.env.items() if k.startswith(_BOUND)))
 
 
 @dataclass
@@ -211,10 +228,11 @@ class Desugarer:
                     return app.args[-1].args[0]
             return None
         if isinstance(e, TypeAbs):
-            inner = self.synth(e.body, env)
+            bound = self.expand_type(e.bound)
+            inner = self.synth(e.body, {**env, _BOUND + e.var: bound})
             if inner is None:
                 return None
-            return Univ(e.var, self.expand_type(e.bound), inner)
+            return Univ(e.var, bound, inner)
         if isinstance(e, TypeApp):
             t = self.synth(e.expr, env)
             if isinstance(t, Univ):
@@ -243,10 +261,11 @@ class Desugarer:
                 return a
             return None
         if isinstance(e, BaseOp):
-            r = _BASEOP_RESULTS.get(e.op)
-            if r is not None:
-                return r
-            return self._synth_collection_op(e, env)
+            op = OPS.get(e.op)
+            try:
+                return op.rule(_Synthesized(self, e, env)) if op else None
+            except (_Unknown, TypeCheckError):
+                return None
         if isinstance(e, SLet):
             ann = self.expand_type(e.ann) if e.ann else self.synth(e.rhs, env)
             if ann is None:
@@ -255,63 +274,6 @@ class Desugarer:
         if isinstance(e, SLetK):
             ext = {n: self.expand_type(t) for n, t in e.binders}
             return self.synth(e.body, {**env, **ext})
-        return None
-
-    def _synth_collection_op(self, e: BaseOp, env: TypeEnv) -> Optional[TypeExpr]:
-        def arg(i: int) -> Optional[TypeExpr]:
-            return self.synth(e.operands[i], env) if i < len(e.operands) else None
-
-        if e.op in ("fst", "snd", "thrd", "frth"):
-            t = arg(0)
-            idx = ("fst", "snd", "thrd", "frth").index(e.op)
-            if isinstance(t, DataT) and t.ctor == "Tuple" and len(t.args) > idx:
-                return t.args[idx]
-            return None
-        if e.op == "head":
-            t = arg(0)
-            return t.args[0] if isinstance(t, DataT) and t.ctor == "List" else None
-        if e.op in ("tail", "reverse", "append"):
-            t = arg(0)
-            return t if isinstance(t, DataT) and t.ctor == "List" else None
-        if e.op == "cons":
-            t = arg(1)
-            if isinstance(t, DataT) and t.ctor == "List":
-                if isinstance(t.args[0], Bot):
-                    h = arg(0)
-                    return DataT("List", (h,)) if h is not None else None
-                return t
-            return None
-        if e.op in ("get", "getOr"):
-            t = arg(0)
-            return t.args[1] if isinstance(t, DataT) and t.ctor == "Map" else None
-        if e.op == "put":
-            t = arg(0)
-            if isinstance(t, DataT) and t.ctor == "Map" and isinstance(t.args[0], Bot):
-                k, v = arg(1), arg(2)
-                return DataT("Map", (k, v)) if k is not None and v is not None else None
-            return t if isinstance(t, DataT) and t.ctor == "Map" else None
-        if e.op == "keys":
-            t = arg(0)
-            return DataT("List", (t.args[0],)) if isinstance(t, DataT) and t.ctor == "Map" else None
-        if e.op in ("items",):
-            t = arg(0)
-            if isinstance(t, DataT) and t.ctor == "Map":
-                return DataT("List", (DataT("Tuple", t.args),))
-            return None
-        if e.op == "mapValues":
-            t = arg(0)
-            return DataT("List", (t.args[1],)) if isinstance(t, DataT) and t.ctor == "Map" else None
-        if e.op == "mkMap":
-            t = arg(0)
-            if isinstance(t, DataT) and t.ctor == "List":
-                inner = t.args[0]
-                if isinstance(inner, DataT) and inner.ctor == "Tuple" and len(inner.args) == 2:
-                    return DataT("Map", inner.args)
-                if isinstance(inner, Bot):
-                    return DataT("Map", (Bot(), Bot()))
-            return None
-        if e.op == "filterBuffer":
-            return arg(0)
         return None
 
     def template_type(self, t: ServerTemplate) -> SrvT:
@@ -367,7 +329,8 @@ class Desugarer:
                 return lifted
             return Request(callee, tuple(args), loc=e.loc)
         if isinstance(e, TypeAbs):
-            return TypeAbs(e.var, self.expand_type(e.bound, e.loc), self.desugar(e.body, env), loc=e.loc)
+            bound = self.expand_type(e.bound, e.loc)
+            return TypeAbs(e.var, bound, self.desugar(e.body, {**env, _BOUND + e.var: bound}), loc=e.loc)
         if isinstance(e, TypeApp):
             return TypeApp(self.desugar(e.expr, env), self.expand_type(e.arg, e.loc), loc=e.loc)
         shape = shape_of(e)
@@ -436,12 +399,11 @@ class Desugarer:
             tup = DataT("Tuple", tuple(t for _, t in binders))
             p = self.fresh("p", frozenset(n for n, _ in binders))
             inner: Expr = e.body
-            projs = ("fst", "snd", "thrd", "frth")
-            if len(binders) > len(projs):
+            if len(binders) > len(PROJECTIONS):
                 raise DesugarError("destructuring letk supports at most 4 components", e.loc)
             for idx in range(len(binders) - 1, -1, -1):
                 name, t = binders[idx]
-                inner = SLet(name, t, BaseOp(projs[idx], (Var(p),)), inner, loc=e.loc)
+                inner = SLet(name, t, BaseOp(PROJECTIONS[idx], (Var(p),)), inner, loc=e.loc)
             body = self.desugar(inner, {**env, p: tup})
             wrapper = self._wrapper("k", ((p, tup),), body)
         target = ServiceRef(Spwn(wrapper, loc=e.loc), "k", loc=e.loc)

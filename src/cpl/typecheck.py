@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .builtins import BOOL, INT, OPS
 from .core import (
     THIS,
     Addr,
@@ -61,8 +62,6 @@ from .pretty import pretty_type
 
 UNIT = UnitT()
 TOP = Top()
-INT = BaseT("Int")
-BOOL = BaseT("Bool")
 
 
 class TypeCheckError(CplError):
@@ -321,7 +320,13 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
             )
         return substitute_type_in_type(t.body, {t.var: e.arg})
     if isinstance(e, BaseOp):
-        return _type_of_baseop(ctx, sigma, e)
+        ts = [type_of(ctx, sigma, x) for x in e.operands]
+        op = OPS.get(e.op)
+        if op is None:
+            raise TypeCheckError("NotAService", f"unknown base operation {e.op!r}", loc)
+        if len(ts) != op.arity:
+            raise TypeCheckError("ArityMismatch", f"{e.op} takes {op.arity} operands, got {len(ts)}", loc)
+        return op.rule(_Checked(ctx, e.op, loc, ts))
     if isinstance(e, If):
         ct = type_of(ctx, sigma, e.cond)
         if not subtype(ctx, ct, BOOL):
@@ -431,168 +436,36 @@ def _type_of_image(ctx: TypeContext, sigma: LocationTyping, e: Image) -> ImgT:
     return ImgT(t)
 
 
-# Base operation typing -------------------------------------------------------
+class _Checked:
+    """The checker's view of a base operation's operands (`builtins.Operands`).
 
-_ARITH = {"add", "sub", "mul", "div", "mod", "max", "min"}
-_NUM_CMP = {"le", "lt", "ge", "gt"}
+    Operand types are kept unpromoted so type variables survive joins;
+    `shape` promotes where a rule needs a constructor.
+    """
 
+    def __init__(self, ctx: TypeContext, op: str, loc: Loc | None, ts: list[TypeExpr]):
+        self.ctx, self.op, self.loc, self.ts = ctx, op, loc, ts
 
-def _type_of_baseop(ctx: TypeContext, sigma: LocationTyping, e: BaseOp) -> TypeExpr:
-    loc = getattr(e, "loc", None)
-    # Operand types are kept unpromoted so type variables survive joins;
-    # promotion happens only where a constructor shape is required.
-    ts = [type_of(ctx, sigma, x) for x in e.operands]
+    def type(self, i: int) -> TypeExpr:
+        return self.ts[i]
 
-    def want(i: int, t: TypeExpr) -> None:
-        if not subtype(ctx, ts[i], t):
-            raise TypeCheckError(
-                "NotASubtype", f"{e.op}: operand {i + 1} has the wrong type",
-                loc, expected=t, actual=ts[i],
-            )
+    def shape(self, i: int) -> TypeExpr:
+        return promote(self.ctx, self.ts[i])
 
-    def arity(n: int) -> None:
-        if len(ts) != n:
-            raise TypeCheckError("ArityMismatch", f"{e.op} takes {n} operands, got {len(ts)}", loc)
+    def want(self, i: int, t: TypeExpr) -> None:
+        if not subtype(self.ctx, self.ts[i], t):
+            self.fail("NotASubtype", f"{self.op}: operand {i + 1} has the wrong type", t, self.ts[i])
 
-    def as_list(i: int) -> TypeExpr:
-        t = promote(ctx, ts[i])
-        if isinstance(t, DataT) and t.ctor == "List":
-            return t.args[0]
-        if isinstance(t, Bot):
-            return Bot()
-        raise TypeCheckError("NotASubtype", f"{e.op}: operand {i + 1} must be a List", loc, actual=t)
+    def want_key(self, i: int, key: TypeExpr) -> None:
+        t = self.ts[i]
+        if not subtype(self.ctx, t, key) and not subtype(self.ctx, key, t):
+            self.fail("NotASubtype", f"{self.op}: key type mismatch", key, t)
 
-    def as_map(i: int) -> tuple[TypeExpr, TypeExpr]:
-        t = promote(ctx, ts[i])
-        if isinstance(t, DataT) and t.ctor == "Map":
-            return t.args[0], t.args[1]
-        if isinstance(t, Bot):
-            return Bot(), Bot()
-        raise TypeCheckError("NotASubtype", f"{e.op}: operand {i + 1} must be a Map", loc, actual=t)
+    def join(self, t: TypeExpr, u: TypeExpr) -> TypeExpr:
+        return join(self.ctx, t, u, self.loc, self.op)
 
-    op = e.op
-    if op in _ARITH:
-        arity(2)
-        want(0, INT)
-        want(1, INT)
-        return INT
-    if op in _NUM_CMP:
-        arity(2)
-        want(0, INT)
-        want(1, INT)
-        return BOOL
-    if op in ("eq", "neq"):
-        arity(2)
-        return BOOL
-    if op == "not":
-        arity(1)
-        want(0, BOOL)
-        return BOOL
-    if op in ("and", "or"):
-        arity(2)
-        want(0, BOOL)
-        want(1, BOOL)
-        return BOOL
-    if op in ("fst", "snd", "thrd", "frth"):
-        arity(1)
-        idx = ("fst", "snd", "thrd", "frth").index(op)
-        t = promote(ctx, ts[0])
-        if isinstance(t, DataT) and t.ctor == "Tuple" and len(t.args) > idx:
-            return t.args[idx]
-        raise TypeCheckError("NotASubtype", f"{op}: operand must be a wide-enough tuple", loc, actual=t)
-    if op == "head":
-        arity(1)
-        return as_list(0)
-    if op == "tail":
-        arity(1)
-        return DataT("List", (as_list(0),))
-    if op == "cons":
-        arity(2)
-        elem = as_list(1)
-        return DataT("List", (join(ctx, ts[0], elem, loc, "cons"),))
-    if op == "isEmpty":
-        arity(1)
-        as_list(0)
-        return BOOL
-    if op == "append":
-        arity(2)
-        return DataT("List", (join(ctx, as_list(0), as_list(1), loc, "append"),))
-    if op == "reverse":
-        arity(1)
-        return DataT("List", (as_list(0),))
-    if op == "range":
-        arity(2)
-        want(0, INT)
-        want(1, INT)
-        return DataT("List", (INT,))
-    if op == "len":
-        arity(1)
-        want(0, BaseT("String"))
-        return INT
-    if op == "split":
-        arity(1)
-        want(0, BaseT("String"))
-        return DataT("List", (BaseT("String"),))
-    if op == "concat":
-        arity(2)
-        want(0, BaseT("String"))
-        want(1, BaseT("String"))
-        return BaseT("String")
-    if op == "size":
-        arity(1)
-        t = promote(ctx, ts[0])
-        if isinstance(t, DataT) and t.ctor in ("List", "Map"):
-            return INT
-        raise TypeCheckError("NotASubtype", "size: operand must be a List or Map", loc, actual=t)
-    if op == "mkMap":
-        arity(1)
-        elem = as_list(0)
-        if isinstance(elem, DataT) and elem.ctor == "Tuple" and len(elem.args) == 2:
-            return DataT("Map", elem.args)
-        if isinstance(elem, Bot):
-            return DataT("Map", (Bot(), Bot()))
-        raise TypeCheckError("NotASubtype", "mkMap: operand must be a list of pairs", loc, actual=ts[0])
-    if op == "get":
-        arity(2)
-        kt, vt = as_map(0)
-        if not subtype(ctx, ts[1], kt) and not subtype(ctx, kt, ts[1]):
-            raise TypeCheckError("NotASubtype", "get: key type mismatch", loc, expected=kt, actual=ts[1])
-        return vt
-    if op == "getOr":
-        arity(3)
-        kt, vt = as_map(0)
-        return join(ctx, vt, ts[2], loc, "getOr")
-    if op == "put":
-        arity(3)
-        kt, vt = as_map(0)
-        return DataT("Map", (join(ctx, kt, ts[1], loc, "put"), join(ctx, vt, ts[2], loc, "put")))
-    if op == "hasKey":
-        arity(2)
-        as_map(0)
-        return BOOL
-    if op == "keys":
-        arity(1)
-        kt, _ = as_map(0)
-        return DataT("List", (kt,))
-    if op == "items":
-        arity(1)
-        kt, vt = as_map(0)
-        return DataT("List", (DataT("Tuple", (kt, vt)),))
-    if op == "mapValues":
-        arity(1)
-        _, vt = as_map(0)
-        return DataT("List", (vt,))
-    if op == "filterBuffer":
-        arity(2)
-        t = promote(ctx, ts[0])
-        if not isinstance(t, ImgT):
-            raise TypeCheckError("NotAnImage", "filterBuffer: operand must be an image", loc, actual=t)
-        want(1, DataT("List", (BaseT("String"),)))
-        return t
-    if op in ("freshID", "localTime"):
-        arity(0)
-        return INT
-    raise TypeCheckError("NotAService", f"unknown base operation {op!r}", loc)
+    def fail(self, kind: str, msg: str, expected: TypeExpr | None = None, actual: TypeExpr | None = None):
+        raise TypeCheckError(kind, msg, self.loc, expected=expected, actual=actual)
 
 
 # ---------------------------------------------------------------------------
