@@ -7,7 +7,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from itertools import chain
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import LinearityError, Loc
 
@@ -393,10 +394,136 @@ class Inert(ServerImage):
     pass
 
 
-@dataclass(frozen=True)
+Bindings = tuple[tuple[str, Expr], ...]
+# A mailbox's queues: (service, arity) -> its (arrival number, message) pairs.
+Queues = dict[tuple[str, int], tuple[tuple[int, MessageValue], ...]]
+
+
+def bind(pattern: JoinPattern, msg: MessageValue) -> Bindings:
+    """The parameter bindings of one pattern taking one message."""
+    return tuple((n, v) for (n, _), v in zip(pattern.params, msg.args))
+
+
+class Mailbox:
+    """The buffered messages of one instance: one FIFO queue per (service,
+    arity), each message tagged with its arrival number; no queue is empty.
+
+    A join pattern only takes messages of its own service and arity, which
+    are interchangeable, so whether a rule matches and which messages it
+    takes depend only on the queue lengths and heads: both read O(patterns)
+    messages whatever the depth. `ordered()` is the arrival-ordered view.
+    A mailbox is immutable; each operation returns a new one that shares
+    the untouched queues.
+    """
+
+    __slots__ = ("_queues", "_arrivals", "_ordered")
+
+    def __init__(self, queues: Optional[Queues] = None, arrivals: int = 0) -> None:
+        self._queues = {} if queues is None else queues
+        self._arrivals = arrivals
+        self._ordered: Optional[tuple[MessageValue, ...]] = None
+
+    @staticmethod
+    def of(messages: Iterable[MessageValue]) -> "Mailbox":
+        """A mailbox holding `messages`, oldest first."""
+        messages = tuple(messages)
+        if not messages:
+            return EMPTY_MAILBOX
+        queues: dict[tuple[str, int], list[tuple[int, MessageValue]]] = {}
+        for i, m in enumerate(messages):
+            queues.setdefault((m.service, len(m.args)), []).append((i, m))
+        box = Mailbox({k: tuple(q) for k, q in queues.items()}, len(messages))
+        box._ordered = messages
+        return box
+
+    def received(self, msg: MessageValue) -> "Mailbox":
+        """This mailbox with msg arrived last."""
+        key = (msg.service, len(msg.args))
+        queues = self._queues.copy()
+        queues[key] = queues.get(key, ()) + ((self._arrivals, msg),)
+        return Mailbox(queues, self._arrivals + 1)
+
+    def can_take(self, patterns: Sequence[JoinPattern]) -> bool:
+        """Whether every pattern finds a message of its own: the queue
+        lengths against the number of patterns per (service, arity)."""
+        queues = self._queues
+        if len(patterns) == 1:  # no queue is empty, so presence suffices
+            p = patterns[0]
+            return (p.service, len(p.params)) in queues
+        need: dict[tuple[str, int], int] = {}
+        for p in patterns:
+            key = (p.service, len(p.params))
+            need[key] = n = need.get(key, 0) + 1
+            if len(queues.get(key, ())) < n:
+                return False
+        return True
+
+    def take(
+        self, patterns: Sequence[JoinPattern]
+    ) -> Optional[tuple[tuple[MessageValue, ...], Bindings, "Mailbox"]]:
+        """The oldest message per pattern, left to right: the messages
+        consumed, the bindings and the rest; None if a pattern finds none."""
+        queues = self._queues
+        used: dict[tuple[str, int], int] = {}
+        consumed = []
+        for p in patterns:
+            key = (p.service, len(p.params))
+            i = used.get(key, 0)
+            queue = queues.get(key, ())
+            if i == len(queue):
+                return None
+            consumed.append(queue[i][1])
+            used[key] = i + 1
+        bindings = tuple(b for p, m in zip(patterns, consumed) for b in bind(p, m))
+        names = [n for n, _ in bindings]
+        assert len(set(names)) == len(names), "pattern linearity violated"
+        rest = queues.copy()
+        for key, n in used.items():
+            if n == len(queues[key]):
+                del rest[key]
+            else:
+                rest[key] = queues[key][n:]
+        return tuple(consumed), bindings, Mailbox(rest, self._arrivals) if rest else EMPTY_MAILBOX
+
+    def ordered(self) -> tuple[MessageValue, ...]:
+        """The messages in arrival order."""
+        if self._ordered is None:
+            self._ordered = tuple(m for _, m in sorted(chain.from_iterable(self._queues.values())))
+        return self._ordered
+
+    def __len__(self) -> int:
+        return sum(map(len, self._queues.values()))
+
+    def __iter__(self) -> Iterator[MessageValue]:
+        return iter(self.ordered())
+
+
+EMPTY_MAILBOX = Mailbox()
+
+
 class Live(ServerImage):
-    template: ServerTemplate
-    buffer: tuple[MessageValue, ...]
+    """A live entry: a template and the mailbox of its buffered messages.
+    `buffer` is the arrival-ordered view, and equality compares (template,
+    buffer); the constructor takes a mailbox or a sequence of messages."""
+
+    __slots__ = ("template", "mailbox")
+
+    def __init__(self, template: ServerTemplate, buffer: Union[Mailbox, Iterable[MessageValue]]) -> None:
+        self.template = template
+        self.mailbox = buffer if isinstance(buffer, Mailbox) else Mailbox.of(buffer)
+
+    @property
+    def buffer(self) -> tuple[MessageValue, ...]:
+        return self.mailbox.ordered()
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Live) and self.template == other.template and self.buffer == other.buffer
+
+    def __hash__(self) -> int:
+        return hash((self.template, self.buffer))
+
+    def __repr__(self) -> str:
+        return f"Live(template={self.template!r}, buffer={self.buffer!r})"
 
 
 INERT = Inert()

@@ -10,7 +10,7 @@ referentially transparent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Mapping, Optional, Sequence
 
 from .builtins import OPS, PROJECTIONS
 from .core import (
@@ -89,7 +89,7 @@ class _Synthesized:
         return t
 
     def shape(self, i: int) -> TypeExpr:
-        return promote(self._bounds(), self.type(i))
+        return promote(_bounds(self.env), self.type(i))
 
     def want(self, i: int, t: TypeExpr) -> None:
         pass
@@ -97,14 +97,16 @@ class _Synthesized:
     want_key = want
 
     def join(self, t: TypeExpr, u: TypeExpr) -> TypeExpr:
-        return join(self._bounds(), t, u, None, self.op)
+        return join(_bounds(self.env), t, u, None, self.op)
 
     def fail(self, *args, **kwargs):
         raise _Unknown
 
-    def _bounds(self) -> TypeContext:
-        n = len(_BOUND)
-        return TypeContext(tuple(("tvar", k[n:], t) for k, t in self.env.items() if k.startswith(_BOUND)))
+
+def _bounds(env: TypeEnv) -> TypeContext:
+    """The type-variable bounds in scope, as a checker context."""
+    n = len(_BOUND)
+    return TypeContext(tuple(("tvar", k[n:], t) for k, t in env.items() if k.startswith(_BOUND)))
 
 
 @dataclass
@@ -244,22 +246,14 @@ class Desugarer:
                 return None
             return DataT("Tuple", tuple(items))  # type: ignore[arg-type]
         if isinstance(e, ListV):
-            if not e.items:
-                return DataT("List", (Bot(),))
-            t = self.synth(e.items[0], env)
+            t = self.synth_join(e.items, env)
             return DataT("List", (t,)) if t is not None else None
         if isinstance(e, MapV):
-            if not e.entries:
-                return DataT("Map", (Bot(), Bot()))
-            k = self.synth(e.entries[0][0], env)
-            v = self.synth(e.entries[0][1], env)
+            k = self.synth_join([key for key, _ in e.entries], env)
+            v = self.synth_join([val for _, val in e.entries], env)
             return DataT("Map", (k, v)) if k is not None and v is not None else None
         if isinstance(e, If):
-            a = self.synth(e.then, env)
-            b = self.synth(e.orelse, env)
-            if a is not None and a == b:
-                return a
-            return None
+            return self.synth_join((e.then, e.orelse), env)
         if isinstance(e, BaseOp):
             op = OPS.get(e.op)
             try:
@@ -275,6 +269,21 @@ class Desugarer:
             ext = {n: self.expand_type(t) for n, t in e.binders}
             return self.synth(e.body, {**env, **ext})
         return None
+
+    def synth_join(self, es: Sequence[Expr], env: TypeEnv) -> Optional[TypeExpr]:
+        """The join of the types of es, as the checker takes it for the
+        items of a literal and the branches of an if (Bot when es is empty);
+        None when a type is unknown or two types have no join."""
+        t: Optional[TypeExpr] = None
+        for x in es:
+            u = self.synth(x, env)
+            if u is None:
+                return None
+            try:
+                t = u if t is None else join(_bounds(env), t, u, None, "")
+            except TypeCheckError:
+                return None
+        return Bot() if t is None else t
 
     def template_type(self, t: ServerTemplate) -> SrvT:
         entries: dict[str, SvcT] = {}

@@ -16,13 +16,20 @@ three nondeterminism dimensions: the ready instance with the smallest id at
 or after the round-robin cursor (else the smallest ready id), rules in
 definition order, and the oldest matching message. Exhaustive exploration is
 provided separately for the match oracle and bounded reachability.
+
+Matching does not scan a buffer either. A live entry keeps its messages in a
+`Mailbox`: one FIFO queue per (service, arity), each message tagged with its
+arrival number. A readiness check compares queue lengths with the patterns'
+demand, and a React takes the queue heads, so both read O(patterns) messages
+whatever the depth. `Live.buffer` is the arrival-ordered view, which
+snapshots, traces, digests and the typechecker see as before.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .builtins import EffectContext, apply_builtin
 from .core import (
@@ -30,6 +37,7 @@ from .core import (
     Address,
     BaseLit,
     BaseOp,
+    Bindings,
     Expr,
     ExternalRef,
     If,
@@ -37,6 +45,7 @@ from .core import (
     Inert,
     ListV,
     Live,
+    Mailbox,
     MapV,
     MessageValue,
     Par,
@@ -54,6 +63,7 @@ from .core import (
     TypeAbs,
     TypeApp,
     ZeroImage,
+    bind,
     image_of,
     is_value,
     shape_of,
@@ -147,47 +157,32 @@ def exhaustive() -> Policy:
 @dataclass(frozen=True)
 class MatchResult:
     consumed: tuple[MessageValue, ...]
-    residual: Sequence[MessageValue]  # the same sequence type as the buffer
-    subst: tuple[tuple[str, Expr], ...]
+    residual: Union[Mailbox, tuple[MessageValue, ...]]  # a mailbox for a mailbox
+    subst: Bindings
 
     def substitution(self) -> dict[str, Expr]:
         return dict(self.subst)
 
 
-def _bind(pattern_params: tuple[tuple[str, object], ...], msg: MessageValue) -> tuple[tuple[str, Expr], ...]:
-    return tuple((n, v) for (n, _), v in zip(pattern_params, msg.args))
-
-
-def match_patterns(patterns, buffer: Sequence[MessageValue], policy: Policy) -> Optional[MatchResult]:
+def match_patterns(
+    patterns, buffer: Union[Mailbox, Sequence[MessageValue]], policy: Policy
+) -> Optional[MatchResult]:
     """Match0/Match1: oldest matching message per pattern, left to right.
 
     Greedy selection is complete here: two patterns can compete only for
     messages of the same service and arity, which are interchangeable.
-    The residual is built from slices of `buffer`, so a list buffer gives a
-    list residual and a tuple buffer a tuple.
+    `buffer` is a mailbox or a sequence in arrival order; the residual is a
+    mailbox for a mailbox and a tuple otherwise.
     """
     if policy.mode == "exhaustive":
         results = enumerate_matches(patterns, tuple(buffer))
         return results[0] if results else None
-    taken: list[int] = []
-    for p in patterns:
-        for i, m in enumerate(buffer):
-            if m.service == p.service and len(m.args) == len(p.params) and i not in taken:
-                break
-        else:
-            return None
-        taken.append(i)
-    consumed = tuple(buffer[i] for i in taken)
-    bindings = tuple(b for p, m in zip(patterns, consumed) for b in _bind(p.params, m))
-    residual = buffer[:0]
-    start = 0
-    for i in sorted(taken):
-        residual += buffer[start:i]
-        start = i + 1
-    residual += buffer[start:]
-    names = [n for n, _ in bindings]
-    assert len(set(names)) == len(names), "pattern linearity violated"
-    return MatchResult(consumed, residual, bindings)
+    box = buffer if isinstance(buffer, Mailbox) else Mailbox.of(buffer)
+    taken = box.take(patterns)
+    if taken is None:
+        return None
+    consumed, bindings, rest = taken
+    return MatchResult(consumed, rest if box is buffer else rest.ordered(), bindings)
 
 
 def enumerate_matches(patterns, buffer: tuple[MessageValue, ...]) -> list[MatchResult]:
@@ -213,7 +208,7 @@ def enumerate_matches(patterns, buffer: tuple[MessageValue, ...]) -> list[MatchR
             if i in taken:
                 continue
             if m.service == p.service and len(m.args) == len(p.params):
-                go(idx + 1, taken + (i,), bindings + _bind(p.params, m))
+                go(idx + 1, taken + (i,), bindings + bind(p, m))
 
     go(0, (), ())
     return out
@@ -223,17 +218,13 @@ def enumerate_matches(patterns, buffer: tuple[MessageValue, ...]) -> list[MatchR
 # Ready set
 # ---------------------------------------------------------------------------
 
-# Readiness only asks whether a match exists, which no policy changes.
-_ANY_MATCH = deterministic()
-
-
 def _reacts(entry: ServerImage) -> bool:
     """Whether some rule of a live entry matches its buffer."""
-    return (
-        isinstance(entry, Live)
-        and bool(entry.buffer)
-        and any(match_patterns(r.patterns, entry.buffer, _ANY_MATCH) is not None for r in entry.template.rules)
-    )
+    if isinstance(entry, Live):
+        for rule in entry.template.rules:
+            if entry.mailbox.can_take(rule.patterns):
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +386,7 @@ def _receive(config: Config, req: Request, pos: Position) -> Stepped:
         return Stepped(c, "Obs", callee.name)
     addr = callee.target.address
     entry = c.table[addr]
-    grown = Live(entry.template, entry.buffer + (MessageValue(callee.service, req.args),))
+    grown = Live(entry.template, entry.mailbox.received(MessageValue(callee.service, req.args)))
     if addr in c.ready:
         c.table[addr] = grown  # one more message never disables a match
     else:
@@ -410,7 +401,7 @@ def _react(config: Config, policy: Policy) -> Stepped:
     addr = min(after or config.ready, key=lambda a: a.id)
     entry = config.table[addr]
     for ridx, rule in enumerate(entry.template.rules):
-        m = match_patterns(rule.patterns, entry.buffer, policy)
+        m = match_patterns(rule.patterns, entry.mailbox, policy)
         if m is not None:
             break
     else:

@@ -1,10 +1,11 @@
 """Concurrent message-passing runtime.
 
-Each live instance is a reactive entity with a mailbox-like buffer; firings
-are serialized per instance and executed on a small thread pool. Local
-placement runs an instance's firings inline on the sender's thread (bounded
-depth); remote placement queues them independently. snap/repl/send on one
-address are linearized by that instance's lock.
+Each live instance is a reactive entity with a mailbox (`core.Mailbox`, the
+same per-service queues as the small-step machine); firings are serialized
+per instance and executed on a small thread pool. Local placement runs an
+instance's firings inline on the sender's thread (bounded depth); remote
+placement queues them independently. snap/repl/send on one address are
+linearized by that instance's lock.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ import itertools
 import json
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .builtins import EffectContext, apply_builtin
 from .core import (
+    EMPTY_MAILBOX,
     THIS,
     Addr,
     Address,
@@ -30,6 +33,7 @@ from .core import (
     Image,
     ListV,
     Live,
+    Mailbox,
     MapV,
     MessageValue,
     Par,
@@ -149,7 +153,7 @@ class _Tracker:
 class _Instance:
     address: Address
     template: Optional[ServerTemplate]  # None means inert
-    buffer: list[MessageValue] = field(default_factory=list)
+    mailbox: Mailbox
     lock: threading.Lock = field(default_factory=threading.Lock)
     scheduled: bool = False
     firing: int = 0
@@ -161,14 +165,14 @@ class Runtime:
     def __init__(self, virtual_time: bool = False, pool_size: int = 8):
         self.virtual_time = virtual_time
         self.log = ObservationLog()
-        self.dropped: list[tuple[Address, str]] = []
+        self.dropped: list[tuple[Address, str]] = []  # appended under _fault_lock
         self.replace_log: list[tuple[Address, int]] = []
         self._instances: dict[Address, _Instance] = {}
         self._reg_lock = threading.Lock()
         self._next_addr = itertools.count(0)
         self._next_id = itertools.count(1)
         self._tracker = _Tracker()
-        self._queue: list = []
+        self._queue: deque = deque()
         self._qlock = threading.Condition()
         self._stop = False
         self._clock_lock = threading.Lock()
@@ -176,7 +180,8 @@ class Runtime:
         self._t0 = time.monotonic()
         self._timers: list[tuple[int, int, Expr]] = []  # (due, seq, continuation)
         self._timer_seq = itertools.count()
-        self._errors: list[BaseException] = []
+        self._errors: list[BaseException] = []  # appended under _fault_lock
+        self._fault_lock = threading.Lock()
         self._local_depth = threading.local()
         self._threads = [
             threading.Thread(target=self._worker, daemon=True, name=f"cpl-rt-{i}")
@@ -194,11 +199,12 @@ class Runtime:
                     self._qlock.wait(0.1)
                 if self._stop and not self._queue:
                     return
-                task = self._queue.pop(0)
+                task = self._queue.popleft()
             try:
                 task()
             except BaseException as exc:  # surfaced by await_quiescence
-                self._errors.append(exc)
+                with self._fault_lock:
+                    self._errors.append(exc)
             finally:
                 self._tracker.dec()
 
@@ -245,12 +251,12 @@ class Runtime:
         return self
 
     def rt_spawn(self, image: Expr, placement: Placement = Placement.REMOTE) -> Address:
-        template, buffer = _decode_image(image, "spwn")
+        template, mailbox = _decode_image(image, "spwn")
         addr = Address(next(self._next_addr), placement)
-        inst = _Instance(addr, template, list(buffer))
+        inst = _Instance(addr, template, mailbox)
         with self._reg_lock:
             self._instances[addr] = inst
-        if template is not None and buffer:
+        if template is not None and mailbox:
             self._schedule_pump(inst)
         return addr
 
@@ -258,9 +264,10 @@ class Runtime:
         inst = self._lookup(addr)
         with inst.lock:
             if inst.template is None:
-                self.dropped.append((addr, service))
+                with self._fault_lock:
+                    self.dropped.append((addr, service))
                 return
-            inst.buffer.append(MessageValue(service, tuple(args)))
+            inst.mailbox = inst.mailbox.received(MessageValue(service, tuple(args)))
         self._schedule_pump(inst)
 
     def rt_snapshot(self, addr: Address) -> Expr:
@@ -268,15 +275,15 @@ class Runtime:
         with inst.lock:
             if inst.template is None:
                 return ZeroImage()
-            return Image(inst.template, tuple(inst.buffer))
+            return Image(inst.template, inst.mailbox.ordered())
 
     def rt_replace(self, addr: Address, image: Expr) -> None:
         inst = self._lookup(addr)
-        template, buffer = _decode_image(image, "repl")
+        template, mailbox = _decode_image(image, "repl")
         with inst.lock:
             inst.template = template
-            inst.buffer = list(buffer)
-            self.replace_log.append((addr, len(buffer)))
+            inst.mailbox = mailbox
+            self.replace_log.append((addr, len(mailbox)))
         if template is not None:
             self._schedule_pump(inst)
 
@@ -341,7 +348,7 @@ class Runtime:
             self._submit(lambda k=k: self._eval(Request(k, ())))
 
     def _raise_pending_error(self) -> None:
-        if self._errors:
+        if self._errors:  # only ever appended to, so the check stays true
             raise self._errors[0]
 
     def pending_summary(self) -> list[tuple[Address, MessageValue]]:
@@ -350,7 +357,7 @@ class Runtime:
             instances = list(self._instances.items())
         for addr, inst in sorted(instances, key=lambda kv: kv[0].id):
             with inst.lock:
-                for m in inst.buffer:
+                for m in inst.mailbox.ordered():
                     out.append((addr, m))
         return out
 
@@ -392,9 +399,9 @@ class Runtime:
                 fired = None
                 if inst.template is not None:
                     for rule in inst.template.rules:
-                        m = match_patterns(rule.patterns, inst.buffer, _MATCH_POLICY)
+                        m = match_patterns(rule.patterns, inst.mailbox, _MATCH_POLICY)
                         if m is not None:
-                            inst.buffer = m.residual
+                            inst.mailbox = m.residual
                             fired = (rule, m.subst)
                             break
                 if fired is None:
@@ -482,12 +489,12 @@ class Runtime:
         raise MachineError(f"cannot evaluate open expression: {e!r}")
 
 
-def _decode_image(image: Expr, op: str) -> tuple[Optional[ServerTemplate], tuple[MessageValue, ...]]:
-    """(template, buffer) of an image value; None stands for the inert image."""
+def _decode_image(image: Expr, op: str) -> tuple[Optional[ServerTemplate], Mailbox]:
+    """(template, mailbox) of an image value; None stands for the inert image."""
     img = _as_spawnable(image)
     if img is None:
         raise MachineError(f"{op} needs a server image, got {image!r}")
-    return (img.template, img.buffer) if isinstance(img, Live) else (None, ())
+    return (img.template, img.mailbox) if isinstance(img, Live) else (None, EMPTY_MAILBOX)
 
 
 def boot(

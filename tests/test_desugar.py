@@ -8,6 +8,9 @@ import cpl.toolchain as tc
 from cpl.core import (
     BaseLit,
     BaseT,
+    If,
+    ListV,
+    MapV,
     Request,
     ServerTemplate,
     ServiceRef,
@@ -23,7 +26,8 @@ from cpl.errors import DesugarError
 from cpl.machine import COMPLETED
 from cpl.parser import SApply, SLambda, SLet, SLetK, SThunk, parse, parse_expr
 from cpl.pretty import pretty_expr
-from conftest import FACT_SRC, run_ss, ss_obs
+from cpl.typecheck import TypeContext, type_of
+from conftest import FACT_SRC, checked, load, run_ss, ss_obs
 
 INT = BaseT("Int")
 ENV = {
@@ -65,6 +69,32 @@ def test_let_infers_literal_annotation():
 def test_let_without_inferable_annotation_errors():
     with pytest.raises(DesugarError):
         lower("let x = y in k<x>", env={"k": SvcT((Top(),))})
+
+
+MIXED = [
+    ListV((BaseLit(1), Var("t"))),
+    ListV((Var("t"), BaseLit(1), BaseLit(2))),
+    MapV(((BaseLit(1), BaseLit(2)), (BaseLit(3), Var("t")))),
+    MapV(((BaseLit(1), BaseLit(2)), (Var("t"), BaseLit(4)))),
+    If(Var("b"), BaseLit(1), Var("t")),
+]
+
+
+@pytest.mark.parametrize("e", MIXED, ids=pretty_expr)
+def test_synthesized_literal_type_is_the_checkers_join(e):
+    env = {"t": Top(), "b": BaseT("Bool")}
+    ctx = TypeContext().extend_var("t", Top()).extend_var("b", BaseT("Bool"))
+    assert D.Desugarer().synth(e, env) == type_of(ctx, {}, e)
+
+
+def test_literal_without_a_join_gets_no_annotation():
+    assert D.Desugarer().synth(ListV((BaseLit(1), BaseLit("a"))), {}) is None
+
+
+def test_let_over_mixed_list_checks():
+    src = "def f = srv { go<t: Top> :> let xs = [1, t] in result<xs> }; par"
+    checked(src)
+    assert "let<xs: List[Top]>" in pretty_expr(load(src).core)
 
 
 def test_letk_requires_request_form():

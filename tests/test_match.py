@@ -5,7 +5,7 @@ import itertools
 import random
 from collections import Counter
 
-from cpl.core import BaseLit, BaseT, JoinPattern, MessageValue
+from cpl.core import BaseLit, BaseT, JoinPattern, Mailbox, MessageValue
 from cpl.machine import deterministic, enumerate_matches, match_patterns
 
 INT = BaseT("Int")
@@ -160,3 +160,55 @@ def test_oracle_sampled_long_buffers():
             assert (det.consumed, det.residual, det.subst) in indep
         else:
             assert not indep
+
+
+def reference_match(patterns, buffer):
+    """The deterministic matcher as a scan over the whole buffer, from
+    before the per-service queues: (consumed, residual, bindings) or None."""
+    taken: list[int] = []
+    for p in patterns:
+        for i, m in enumerate(buffer):
+            if m.service == p.service and len(m.args) == len(p.params) and i not in taken:
+                break
+        else:
+            return None
+        taken.append(i)
+    consumed = tuple(buffer[i] for i in taken)
+    bindings = tuple((n, v) for p, m in zip(patterns, consumed) for (n, _), v in zip(p.params, m.args))
+    residual = buffer[:0]
+    start = 0
+    for i in sorted(taken):
+        residual += buffer[start:i]
+        start = i + 1
+    residual += buffer[start:]
+    return consumed, residual, bindings
+
+
+def test_queues_agree_with_the_reference_scan():
+    """Seeded random buffers of up to 8 messages over 2 or 3 services with
+    mixed arities, and pattern lists that repeat services."""
+    rng = random.Random(1998)
+    compared = 0
+    for _ in range(4_000):
+        services = SERVICES[: rng.choice((2, 3))]
+        keys = [(s, n) for s in services for n in (0, 1, 2)]
+        buffer = tuple(
+            msg(s, *(rng.randrange(5) for _ in range(n)))
+            for s, n in (rng.choice(keys) for _ in range(rng.randrange(9)))
+        )
+        patterns = rename(tuple(pat(*rng.choice(keys)) for _ in range(rng.randrange(1, 5))))
+        want = reference_match(patterns, buffer)
+        for given in (buffer, list(buffer), Mailbox.of(buffer)):
+            got = match_patterns(patterns, given, deterministic(rng.randrange(100)))
+            if want is None:
+                assert got is None
+                continue
+            residual = got.residual.ordered() if isinstance(given, Mailbox) else got.residual
+            assert (got.consumed, tuple(residual), got.subst) == (want[0], tuple(want[1]), want[2])
+            compared += 1
+        first = enumerate_matches(patterns, buffer)
+        if want is None:
+            assert not first
+        else:
+            assert (first[0].consumed, first[0].residual) == (want[0], want[1])
+    assert compared > 1_000

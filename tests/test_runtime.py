@@ -271,3 +271,18 @@ def test_progress_counterexample_quiescent_with_pending():
         assert len(rt.log) == 0
         pend = rt.pending_summary()
         assert [(m.service) for _, m in pend] == ["foo"]
+
+
+def test_concurrent_cli_run_stops_its_pool_threads(tmp_path, capsys):
+    from cpl.cli import main
+
+    f = tmp_path / "one.cpl"
+    f.write_text("(spwn srv { a<x: Int> :> result<x> })#a<1>")
+    before = set(threading.enumerate())
+    assert main(["run", str(f), "--no-prelude", "--engine=concurrent"]) == 0
+    assert capsys.readouterr().out.strip() == '{"service": "result", "args": [1]}'
+    pool = [t for t in threading.enumerate() if t.name.startswith("cpl-rt-") and t not in before]
+    assert pool
+    for t in pool:
+        t.join(5.0)
+    assert not any(t.is_alive() for t in pool)
