@@ -377,6 +377,46 @@ class TestEnumerate:
         assert outs == {(6,)}
 
 
+def _digest_hash(digests) -> str:
+    return hashlib.sha256("\n".join(sorted(digests)).encode()).hexdigest()[:16]
+
+
+# (program, depth, state cap) -> (reachable count, hash of the sorted reachable
+# digests, terminal count, hash of the sorted terminal digests). Recorded from
+# the explorer that re-implemented the rules; the explorer that runs `step`'s
+# rule functions must reach exactly the same configurations.
+EXPLORATION_PINS = [
+    (None, 5, 20_000, (1, "e174ac50bd9b37b6", 1, "e174ac50bd9b37b6")),
+    ("(spwn srv { a<> :> result<1>  a<> :> result<2> })#a<>", 8, 20_000,
+     (7, "92b49370d8a9606e", 2, "18d63880964dcb48")),
+    ("((spwn srv { a<x: Int> :> result<x> })#a<1> || par)", 8, 20_000,
+     (5, "1423ca1fe8d60d98", 1, "5b81548423a58f9c")),
+    ("fact.cpl", 60, 60_000, (58, "5dec727ecd346fdf", 1, "a6c375572bd68409")),
+    ("(spwn srv { a<> :> result<1> })#a<>", 80, 120_000, (5, "ab28925227cbef40", 1, "5c8cca6ffea43702")),
+    ("((spwn srv { a<x: Int> :> result<x> })#a<1> || (spwn srv { b<> :> result<2> })#b<>)", 80, 120_000,
+     (45, "f35246f2f799058d", 4, "0c0e7ae2420a1cc2")),
+    (FACT_SRC + "(spwn Fact)#main<2, result>", 80, 120_000, (45, "a7fdc5ac4fa1e20f", 1, "96b6c2b95b813582")),
+    (FACT_SRC + "((spwn Fact)#main<2, result> || (spwn Fact)#main<3, result>)", 4, 50_000,
+     (6, "d9e45292f8fddb07", 0, "e3b0c44298fc1c14")),
+    # Two timers with the same deadline: the explorer fires one at a time.
+    ("(spwn srv { a<> :> timer<50, this#b> || timer<50, this#c>  b<> :> result<1> c<> :> result<2> })#a<>",
+     20, 20_000, (24, "73cf51f09b36938a", 2, "bf5f9bda2623cd11")),
+    ("let w = spwn srv { a<x: Int> :> result<x> } in (let i = snap w in (repl w i || w#a<3>))", 20, 20_000,
+     (35, "77c1e19d560f50c3", 4, "d3ba9487aa78a2ff")),
+]
+
+
+@pytest.mark.parametrize("src, depth, cap, expected", EXPLORATION_PINS, ids=range(len(EXPLORATION_PINS)))
+def test_exploration_digest_sets_pinned(src, depth, cap, expected):
+    if src is None:
+        cfg = initial_config(Par(()))
+    else:
+        cfg = boot(tc.example_source(src) if src.endswith(".cpl") else src)
+    reach = enumerate_reachable(cfg, depth=depth, state_cap=cap)
+    terminals = [digest(t) for t in terminal_configs(reach)]
+    assert (len(reach), _digest_hash(reach), len(terminals), _digest_hash(terminals)) == expected
+
+
 class TestPolicyAndBounds:
     def test_exhaustive_policy_returns_member_of_oracle(self):
         from cpl.core import BaseT, JoinPattern, MessageValue, BaseLit
