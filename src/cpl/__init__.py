@@ -46,7 +46,6 @@ from .machine import (
     deterministic,
     enumerate_matches,
     enumerate_reachable,
-    exhaustive,
     initial_config,
     match_patterns,
     run,

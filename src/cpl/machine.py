@@ -14,8 +14,10 @@ delivered message, a React residual, a spawned or replaced image), so a join
 is retried only when its buffer changes. The deterministic policy fixes all
 three nondeterminism dimensions: the ready instance with the smallest id at
 or after the round-robin cursor (else the smallest ready id), rules in
-definition order, and the oldest matching message. Exhaustive exploration is
-provided separately for the match oracle and bounded reachability.
+definition order, and the oldest matching message. The bounded explorer
+enumerates applications of `step`'s own rule functions: every deliverable
+request, every instance, rule and complete match, and every Spwn, Snap and
+Repl position.
 
 Matching does not scan a buffer either. A live entry keeps its messages in a
 `Mailbox`: one FIFO queue per (service, arity), each message tagged with its
@@ -133,7 +135,6 @@ class Policy:
     ordered, so there are no equal-age message ties to break).
     """
 
-    mode: str = "deterministic"
     seed: int = 0
     cursor: int = field(default=0)
 
@@ -142,11 +143,7 @@ class Policy:
 
 
 def deterministic(seed: int = 0) -> Policy:
-    return Policy("deterministic", seed)
-
-
-def exhaustive() -> Policy:
-    return Policy("exhaustive", 0)
+    return Policy(seed)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +171,6 @@ def match_patterns(
     `buffer` is a mailbox or a sequence in arrival order; the residual is a
     mailbox for a mailbox and a tuple otherwise.
     """
-    if policy.mode == "exhaustive":
-        results = enumerate_matches(patterns, tuple(buffer))
-        return results[0] if results else None
     box = buffer if isinstance(buffer, Mailbox) else Mailbox.of(buffer)
     taken = box.take(patterns)
     if taken is None:
@@ -379,7 +373,8 @@ def _receive(config: Config, req: Request, pos: Position) -> Stepped:
     if isinstance(callee, ExternalRef):
         if callee.name == "timer":
             delay = req.args[0]
-            assert isinstance(delay, BaseLit) and isinstance(delay.value, int)
+            if not (isinstance(delay, BaseLit) and type(delay.value) is int):
+                raise StuckError(f"timer delay is not an Int: {pretty_expr(delay)}")
             c.timers = c.timers + ((c.logical_time + delay.value, req.args[1]),)
             return Stepped(c, "Timer", callee.name)
         c.observations = c.observations + ((c.logical_time, callee.name, tuple(req.args)),)
@@ -406,13 +401,20 @@ def _react(config: Config, policy: Policy) -> Stepped:
             break
     else:
         raise AssertionError(f"@{addr.id} is ready but matches no rule")
+    policy.cursor = addr.id + 1
+    return _fire(config, addr, ridx, m)
+
+
+def _fire(config: Config, addr: Address, ridx: int, m: MatchResult) -> Stepped:
+    """Rule React: the instance at addr fires its rule ridx on match m. The
+    residual becomes its buffer and the instantiated body joins the top level."""
+    template = config.table[addr].template
     subst = m.substitution()
     subst[THIS] = Addr(addr)
     c = config.copy()
-    c.put(addr, Live(entry.template, m.residual))
+    c.put(addr, Live(template, m.residual))
     assert isinstance(c.expr, Par)
-    c.expr = Par(c.expr.exprs + (substitute(rule.body, subst),))
-    policy.cursor = addr.id + 1
+    c.expr = Par(c.expr.exprs + (substitute(template.rules[ridx].body, subst),))
     return Stepped(c, "React", f"@{addr.id}/r{ridx + 1}")
 
 
@@ -582,15 +584,19 @@ def canonical(config: Config) -> str:
     return "|".join(parts)
 
 
-def fire_next_timers(config: Config) -> Config:
+def fire_next_timers(config: Config, first_only: bool = False) -> Config:
     """Jump logical time to the earliest timer deadline and deliver every
-    timer due by then, in the order they were armed."""
+    timer due by then, in the order they were armed. With `first_only`, only
+    the first armed of them is delivered: the explorer fires one per step."""
     due = min(d for d, _ in config.timers)
+    fired = [i for i, (d, _) in enumerate(config.timers) if d == due]
+    if first_only:
+        del fired[1:]
     c = config.copy()
-    c.timers = tuple(t for t in config.timers if t[0] > due)
+    c.timers = tuple(t for i, t in enumerate(config.timers) if i not in fired)
     c.logical_time = max(c.logical_time, due)
     assert isinstance(c.expr, Par)
-    c.expr = Par(c.expr.exprs + tuple(Request(k, ()) for d, k in config.timers if d <= due))
+    c.expr = Par(c.expr.exprs + tuple(Request(config.timers[i][1], ()) for i in fired))
     return c
 
 
@@ -667,101 +673,34 @@ def _admin_close(config: Config) -> Config:
 
 
 def _successors(config: Config) -> Iterator[Config]:
-    """All single-step nondeterministic continuations of a closed config."""
-    base = config
-
-    # Every deliverable request, at every position.
-    deliveries = [e for e in _eval_subterms(base.expr) if isinstance(e, Request) and _deliverable(e, base.table)]
-    for req in deliveries:
-        c = base.copy()
-        c.expr = _replace_once(base.expr, req, Par(()))
-        callee = req.callee
-        if isinstance(callee, ExternalRef):
-            if callee.name == "timer":
-                delay = req.args[0]
-                assert isinstance(delay, BaseLit) and isinstance(delay.value, int)
-                c.timers = c.timers + ((c.logical_time + delay.value, req.args[1]),)
-            else:
-                c.observations = c.observations + ((c.logical_time, callee.name, tuple(req.args)),)
-        else:
-            assert isinstance(callee, ServiceRef) and isinstance(callee.target, Addr)
-            addr = callee.target.address
-            entry = c.table[addr]
-            assert isinstance(entry, Live)
-            c.put(addr, Live(entry.template, entry.buffer + (MessageValue(callee.service, req.args),)))
-        yield c
-
-    # Every React on every instance, rule, and complete match.
-    for addr in sorted(base.table.keys(), key=lambda a: a.id):
-        entry = base.table[addr]
-        if not isinstance(entry, Live):
-            continue
-        for rule in entry.template.rules:
-            for m in enumerate_matches(rule.patterns, entry.buffer):
-                subst = m.substitution()
-                subst[THIS] = Addr(addr)
-                c = base.copy()
-                c.put(addr, Live(entry.template, m.residual))
-                assert isinstance(c.expr, Par)
-                c.expr = Par(c.expr.exprs + (substitute(rule.body, subst),))
-                yield c
-
-    # Every Spwn/Snap/Repl redex position.
-    def redex(e: Expr) -> bool:
-        if isinstance(e, Spwn):
-            return is_value(e.expr) and _as_spawnable(e.expr) is not None
-        if isinstance(e, Snap):
-            return isinstance(e.expr, Addr) and e.expr.address in base.table
-        return (
-            isinstance(e, Repl)
-            and isinstance(e.target, Addr)
-            and is_value(e.image)
-            and e.target.address in base.table
-            and _as_spawnable(e.image) is not None
-        )
-
-    redexes = [e for e in _eval_subterms(base.expr) if redex(e)]
-    for red in redexes:
-        c = base.copy()
-        if isinstance(red, Spwn):
-            addr = Address(c.next_address, red.placement)
-            img = _as_spawnable(red.expr)
-            assert img is not None
-            c.put(addr, img)
-            c.next_address += 1
-            c.expr = _replace_once(base.expr, red, Addr(addr))
-        elif isinstance(red, Snap):
-            c.expr = _replace_once(base.expr, red, image_of(base.table[red.expr.address]))
-        else:
-            assert isinstance(red, Repl)
-            img = _as_spawnable(red.image)
-            assert img is not None
-            c.put(red.target.address, img)
-            c.expr = _replace_once(base.expr, red, Par(()))
-        yield c
+    """All single-step nondeterministic continuations of a closed config, each
+    built by the rule function `step` uses: Rcv at every deliverable request,
+    a contraction at every evaluated position that is not stuck (a closed
+    config has only Spwn, Snap and Repl left), and React for every instance,
+    rule and complete match."""
+    for x, pos in _sites(config.expr):
+        cls = type(x)
+        if cls is Request:
+            if _deliverable(x, config.table):
+                yield _receive(config, x, pos).config
+        elif cls in _CONTRACTIBLE and _evaluated(x):
+            try:
+                s = _contract(config, x, pos)
+            except StuckError:
+                continue
+            yield s.config
+    for addr in sorted(config.table, key=lambda a: a.id):
+        entry = config.table[addr]
+        if isinstance(entry, Live):
+            for ridx, rule in enumerate(entry.template.rules):
+                for m in enumerate_matches(rule.patterns, entry.buffer):
+                    yield _fire(config, addr, ridx, m).config
 
 
-def _eval_subterms(e: Expr) -> Iterator[Expr]:
-    """The non-value subterms of e in evaluation position, in pre-order."""
-    return (x for x, _ in _sites(e))
-
-
-def _replace_once(root: Expr, target: Expr, replacement: Expr) -> Expr:
-    """Replace the first occurrence (by identity) of target within root."""
-    for x, pos in _sites(root):
-        if x is target:
-            return _plug(pos, replacement)
-    raise AssertionError("replacement target not found in evaluation position")
-
-
-def enumerate_reachable(
-    config: Config,
-    depth: int,
-    state_cap: int = 20_000,
-    fire_timers: bool = True,
-) -> dict[str, Config]:
+def enumerate_reachable(config: Config, depth: int, state_cap: int = 20_000) -> dict[str, Config]:
     """All configurations reachable in at most `depth` nondeterministic steps,
-    keyed by canonical digest (addresses renumbered)."""
+    keyed by canonical digest (addresses renumbered). A config with no step
+    fires its earliest timer."""
     start = _admin_close(config)
     seen: dict[str, Config] = {digest(start): start}
     frontier = [start]
@@ -769,15 +708,8 @@ def enumerate_reachable(
         nxt: list[Config] = []
         for cfg in frontier:
             succs = list(_successors(cfg))
-            if not succs and fire_timers and cfg.timers:
-                idx = min(range(len(cfg.timers)), key=lambda i: cfg.timers[i][0])
-                due, k = cfg.timers[idx]
-                c = cfg.copy()
-                c.timers = cfg.timers[:idx] + cfg.timers[idx + 1 :]
-                c.logical_time = max(c.logical_time, due)
-                assert isinstance(c.expr, Par)
-                c.expr = Par(c.expr.exprs + (Request(k, ()),))
-                succs = [c]
+            if not succs and cfg.timers:
+                succs = [fire_next_timers(cfg, first_only=True)]
             for s in succs:
                 s = _admin_close(s)
                 d = digest(s)
@@ -793,8 +725,4 @@ def enumerate_reachable(
 
 
 def terminal_configs(reachable: dict[str, Config]) -> list[Config]:
-    out = []
-    for cfg in reachable.values():
-        if not list(_successors(cfg)) and not cfg.timers:
-            out.append(cfg)
-    return out
+    return [cfg for cfg in reachable.values() if not cfg.timers and next(_successors(cfg), None) is None]

@@ -432,7 +432,7 @@ class Runtime:
             if isinstance(callee, ExternalRef):
                 if callee.name == "timer":
                     delay = args[0]
-                    if not (isinstance(delay, BaseLit) and isinstance(delay.value, int)):
+                    if not (isinstance(delay, BaseLit) and type(delay.value) is int):
                         raise MachineError("timer delay must be an Int")
                     due = self.local_time() + delay.value
                     with self._clock_lock:

@@ -417,20 +417,26 @@ def test_exploration_digest_sets_pinned(src, depth, cap, expected):
     assert (len(reach), _digest_hash(reach), len(terminals), _digest_hash(terminals)) == expected
 
 
+def test_explorer_contracts_each_occurrence_of_a_shared_subterm():
+    """Two firings of rule b append the same closed `spwn` object twice, so
+    the configuration `(spwn T)#c<> || (spwn T)#c<>` holds one object at two
+    positions. Each position is its own Spwn redex and reaches its own state."""
+    reach = enumerate_reachable(
+        boot("(spwn srv { a<> :> (this#b<> || this#b<>)  b<> :> (spwn srv { c<> :> result<1> })#c<> })#a<>"),
+        depth=12,
+    )
+    assert len(reach) == 35
+
+    def callees(cfg):
+        return tuple(type(x.callee.target).__name__ for x in cfg.expr.exprs if isinstance(x, Request))
+
+    shared = [c for c in reach.values() if len(c.expr.exprs) == 2 and c.expr.exprs[0] is c.expr.exprs[1]]
+    assert [callees(c) for c in shared] == [("Spwn", "Spwn")]
+    successors = {callees(c) for c in enumerate_reachable(shared[0], depth=1).values()}
+    assert {("Addr", "Spwn"), ("Spwn", "Addr")} <= successors
+
+
 class TestPolicyAndBounds:
-    def test_exhaustive_policy_returns_member_of_oracle(self):
-        from cpl.core import BaseT, JoinPattern, MessageValue, BaseLit
-        from cpl.machine import exhaustive
-
-        INT = BaseT("Int")
-        patterns = (JoinPattern("a", (("x", INT),)),)
-        buffer = (MessageValue("a", (BaseLit(1),)), MessageValue("a", (BaseLit(2),)))
-        from cpl.machine import enumerate_matches, match_patterns
-
-        m = match_patterns(patterns, buffer, exhaustive())
-        keys = {(r.consumed, r.residual, r.subst) for r in enumerate_matches(patterns, buffer)}
-        assert (m.consumed, m.residual, m.subst) in keys
-
     def test_enumerate_explosion_error(self):
         import pytest as _pytest
         from cpl.errors import ExplosionError

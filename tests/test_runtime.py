@@ -191,6 +191,23 @@ def test_virtual_time_advances_only_on_timers():
         assert cc_obs(rt) == [250]
 
 
+def test_timer_delay_rejects_bool_on_both_engines():
+    """`true` is no Int delay, although Python's bool is an int; the checker
+    rejects this program, so it runs here unchecked."""
+    from cpl.errors import MachineError, StuckError
+
+    loaded = tc.load_program("timer<true, result>", include_prelude=False)
+    with pytest.raises(StuckError, match="timer delay"):
+        tc.run_smallstep(loaded.core)
+    rt = boot(loaded.core, virtual_time=True)
+    try:
+        with pytest.raises(MachineError, match="timer delay"):
+            rt.await_quiescence(5_000)
+        assert len(rt.log) == 0
+    finally:
+        rt.shutdown()
+
+
 def test_print_goes_to_observer():
     with run_cc("print<42>", prelude=False) as rt:
         assert [ (o.service, value_to_json(o.args[0])) for o in rt.log.snapshot() ] == [("print", 42)]
