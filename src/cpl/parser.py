@@ -5,12 +5,16 @@ Grammar sketch: `srv { pat & pat :> body ... }`,
 `let`/`letk`/`thunk`/lambdas, `def`/`type` items terminated by `;`, and `//`
 line comments. Requests own the angle brackets, so there are no bare `<`/`>`
 comparison operators; use `<=`, `>=`, `==`, `!=` or the named lt/gt base ops.
+Precedence, loosest to tightest: `||` < `== != <= >=` (no chaining) < `::`
+(right) < `+ -` < `* / %` (both left) < prefix forms < postfix `#`, `<…>`,
+`[T]` and calls.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from . import core
 from .builtins import is_builtin
@@ -61,9 +65,6 @@ KEYWORDS = {
     "thunk", "def", "type", "if", "then", "else", "in", "true", "false",
     "zero", "img", "inst", "forall",
 }
-
-_RESERVED_TYPE_NAMES = {"Top", "Unit", "Bot", "SrvBot", "Int", "Bool", "Float", "String"}
-
 
 # ---------------------------------------------------------------------------
 # Surface-only nodes
@@ -150,86 +151,68 @@ class Token:
 
 _PUNCT2 = (":>", "<=", ">=", "==", "!=", "::", "||", "/\\", "<:", "->")
 _PUNCT1 = "{}()[]<>,;:#&+-*/%=.\\@~^!|"
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+# Leading blanks, then one alternative per token kind, tried in order. `\d`
+# is what `int` accepts; an identifier must start with a letter or `_`, which
+# `tokenize` checks, as `\w` also admits digits such as `²`. A `"` that does
+# not open a whole literal falls through to ERR. `tokenize` stops the scan
+# before trailing blanks, which would otherwise backtrack into ERR.
+_TOKEN_RE = re.compile(
+    r"[ \t\r]*(?:(?P<NL>\n)|(?P<COMMENT>//[^\n]*)"
+    r'|(?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*")'
+    r"|(?P<FLOAT>\d+\.\d+)|(?P<INT>\d+)|(?P<IDENT>\w[\w%]*)"
+    f"|(?P<PUNCT>{'|'.join(map(re.escape, _PUNCT2))}|[{re.escape(_PUNCT1)}])"
+    r"|(?P<ERR>.))",
+    re.DOTALL,
+)
 
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    m = None
+    for m in _TOKEN_RE.finditer(src, 0, len(src.rstrip(" \t\r"))):
+        kind = m.lastgroup
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "COMMENT":
             continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        loc = Loc(line, col)
-        if c == '"':
-            j = i + 1
-            out = []
-            while j < n and src[j] != '"':
-                if src[j] == "\\" and j + 1 < n:
-                    nxt = src[j + 1]
-                    out.append({"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(nxt, nxt))
-                    j += 2
-                else:
-                    out.append(src[j])
-                    j += 1
-            if j >= n:
-                raise ParseError("unterminated string literal", loc)
-            toks.append(Token("STRING", "".join(out), loc))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
-                j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-                toks.append(Token("FLOAT", src[i:j], loc))
-            else:
-                toks.append(Token("INT", src[i:j], loc))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_%"):
-                j += 1
-            toks.append(Token("IDENT", src[i:j], loc))
-            col += j - i
-            i = j
-            continue
-        two = src[i : i + 2]
-        if two in _PUNCT2:
-            toks.append(Token("PUNCT", two, loc))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            toks.append(Token("PUNCT", c, loc))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", loc)
-    toks.append(Token("EOF", "", Loc(line, col)))
+        start, text = m.start(kind), m[kind]
+        loc = Loc(line, start - line_start + 1)
+        if kind == "STRING":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = src.rindex("\n", start, m.end()) + 1
+            text = text[1:-1]
+            if "\\" in text:
+                text = re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]), text, flags=re.DOTALL)
+        elif kind == "ERR" and text == '"':
+            raise ParseError("unterminated string literal", loc)
+        elif kind == "ERR" or (kind == "IDENT" and not (text[0].isalpha() or text[0] == "_")):
+            raise ParseError(f"unexpected character {text[0]!r}", loc)
+        toks.append(Token(kind, text, loc))
+    # EOF sits after trailing blanks, but a final comment does not move it.
+    end = m.start("COMMENT") if m and m.lastgroup == "COMMENT" else len(src)
+    toks.append(Token("EOF", "", Loc(line, end - line_start + 1)))
     return toks
 
 
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+
+
+# Binary operators: token -> (base operation, precedence). `::` associates to
+# the right, a comparison takes no comparison operand, the rest associate to
+# the left.
+_BINARY = {
+    "==": ("eq", 1), "!=": ("neq", 1), "<=": ("le", 1), ">=": ("ge", 1),
+    "::": ("cons", 2),
+    "+": ("add", 3), "-": ("sub", 3),
+    "*": ("mul", 4), "/": ("div", 4), "%": ("mod", 4),
+}
 
 
 class _Parser:
@@ -255,6 +238,13 @@ class _Parser:
             self.pos += 1
         return t
 
+    def accept(self, text: str) -> bool:
+        """Consume the token `text` if it is next."""
+        if self.at(text):
+            self.pos += 1
+            return True
+        return False
+
     def expect(self, text: str) -> Token:
         t = self.peek()
         if t.text != text or t.kind == "EOF":
@@ -275,6 +265,21 @@ class _Parser:
             raise ParseError(f"expected a service name, found {t.text!r}", t.loc)
         return self.next()
 
+    def seq(self, close: str, item: Callable[[], Any]) -> list[Any]:
+        """Comma-separated `item`s up to `close`, which is consumed."""
+        out = []
+        while not self.at(close):
+            out.append(item())
+            if not self.at(close):
+                self.expect(",")
+        self.expect(close)
+        return out
+
+    def typed_binder(self, what: str) -> tuple[str, TypeExpr]:
+        name = self.ident(what).text
+        self.expect(":")
+        return name, self.type_expr()
+
     # program --------------------------------------------------------------
 
     def program(self) -> Program:
@@ -284,10 +289,7 @@ class _Parser:
             if self.at("def"):
                 loc = self.next().loc
                 name = self.ident("definition name").text
-                ann = None
-                if self.at(":"):
-                    self.next()
-                    ann = self.type_expr()
+                ann = self.type_expr() if self.accept(":") else None
                 self.expect("=")
                 rhs = self.expr()
                 self.expect(";")
@@ -296,13 +298,8 @@ class _Parser:
                 loc = self.next().loc
                 name = self.ident("type alias name").text
                 params: list[str] = []
-                if self.at("["):
-                    self.next()
-                    while not self.at("]"):
-                        params.append(self.ident("type parameter").text)
-                        if not self.at("]"):
-                            self.expect(",")
-                    self.expect("]")
+                if self.accept("["):
+                    params = self.seq("]", lambda: self.ident("type parameter").text)
                 self.expect("=")
                 rhs = self.type_expr()
                 self.expect(";")
@@ -320,64 +317,36 @@ class _Parser:
     # expressions ----------------------------------------------------------
 
     def expr(self) -> Expr:
-        return self.par_expr()
-
-    def par_expr(self) -> Expr:
-        first = self.cmp_expr()
-        if not (self.at("||")):
+        first = self.binary()
+        if not self.at("||"):
             return first
         parts = [first]
-        while self.at("||"):
-            self.next()
-            parts.append(self.cmp_expr())
+        while self.accept("||"):
+            parts.append(self.binary())
         # No flattening here: `(a || b) || c` stays nested so parsing is the
         # exact inverse of pretty-printing. Rule Par flattens at run time.
         return Par(tuple(parts), loc=getattr(parts[0], "loc", None))
 
-    _CMP = {"==": "eq", "!=": "neq", "<=": "le", ">=": "ge"}
-
-    def cmp_expr(self) -> Expr:
-        left = self.cons_expr()
-        t = self.peek()
-        if t.kind == "PUNCT" and t.text in self._CMP:
-            self.next()
-            right = self.cons_expr()
-            return BaseOp(self._CMP[t.text], (left, right), loc=t.loc)
-        return left
-
-    def cons_expr(self) -> Expr:
-        left = self.add_expr()
-        if self.at("::"):
-            loc = self.next().loc
-            right = self.cons_expr()
-            return BaseOp("cons", (left, right), loc=loc)
-        return left
-
-    def add_expr(self) -> Expr:
-        left = self.mul_expr()
-        while self.peek().kind == "PUNCT" and self.peek().text in ("+", "-"):
-            op = self.next()
-            right = self.mul_expr()
-            left = BaseOp("add" if op.text == "+" else "sub", (left, right), loc=op.loc)
-        return left
-
-    def mul_expr(self) -> Expr:
+    def binary(self, level: int = 1) -> Expr:
+        """Precedence climbing over `_BINARY`: operators binding at `level` or tighter."""
         left = self.prefix_expr()
-        while self.peek().kind == "PUNCT" and self.peek().text in ("*", "/", "%"):
-            op = self.next()
-            right = self.prefix_expr()
-            name = {"*": "mul", "/": "div", "%": "mod"}[op.text]
-            left = BaseOp(name, (left, right), loc=op.loc)
-        return left
+        while True:
+            t = self.peek()
+            op = _BINARY.get(t.text) if t.kind == "PUNCT" else None
+            if op is None or op[1] < level:
+                return left
+            self.next()
+            name, prec = op
+            right = self.binary(prec if name == "cons" else prec + 1)
+            left = BaseOp(name, (left, right), loc=t.loc)
+            if prec == 1:  # comparisons do not chain
+                return left
 
     def prefix_expr(self) -> Expr:
         t = self.peek()
         if self.at("spwn"):
             loc = self.next().loc
-            placement = Placement.REMOTE
-            if self.at("local"):
-                self.next()
-                placement = Placement.LOCAL
+            placement = Placement.LOCAL if self.accept("local") else Placement.REMOTE
             return Spwn(self.prefix_expr(), placement, loc=loc)
         if self.at("snap"):
             loc = self.next().loc
@@ -390,19 +359,18 @@ class _Parser:
         if self.at("thunk"):
             loc = self.next().loc
             ann = None
-            if self.at("["):
-                self.next()
+            if self.accept("["):
                 ann = self.type_expr()
                 self.expect("]")
-            body = self.cmp_expr()
+            body = self.binary()
             return SThunk(ann, body, loc=loc)
         if self.at("if"):
             loc = self.next().loc
-            cond = self.par_expr()
+            cond = self.expr()
             self.expect("then")
-            then = self.par_expr()
+            then = self.expr()
             self.expect("else")
-            orelse = self.cmp_expr()
+            orelse = self.binary()
             return If(cond, then, orelse, loc=loc)
         if self.at("let"):
             return self.let_expr()
@@ -413,12 +381,9 @@ class _Parser:
         if self.at("/\\"):
             loc = self.next().loc
             var = self.ident("type variable").text
-            bound: TypeExpr = Top()
-            if self.at("<:"):
-                self.next()
-                bound = self.type_expr()
+            bound = self.type_expr() if self.accept("<:") else Top()
             self.expect(".")
-            body = self.par_expr()
+            body = self.expr()
             return TypeAbs(var, bound, body, loc=loc)
         if t.kind == "PUNCT" and t.text == "-":
             loc = self.next().loc
@@ -435,54 +400,39 @@ class _Parser:
     def let_expr(self) -> Expr:
         loc = self.next().loc
         name = self.ident("binder").text
-        ann = None
-        if self.at(":"):
-            self.next()
-            ann = self.type_expr()
+        ann = self.type_expr() if self.accept(":") else None
         self.expect("=")
-        rhs = self.par_expr()
+        rhs = self.expr()
         self.expect("in")
-        body = self.par_expr()
+        body = self.expr()
         return SLet(name, ann, rhs, body, loc=loc)
 
     def letk_expr(self) -> Expr:
         loc = self.next().loc
         binders: list[tuple[str, TypeExpr]] = []
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             while True:
-                n = self.ident("binder").text
-                self.expect(":")
-                binders.append((n, self.type_expr()))
+                binders.append(self.typed_binder("binder"))
                 if self.at(")"):
                     break
                 self.expect(",")
             self.expect(")")
         else:
-            n = self.ident("binder").text
-            self.expect(":")
-            binders.append((n, self.type_expr()))
+            binders.append(self.typed_binder("binder"))
         self.expect("=")
-        rhs = self.par_expr()
+        rhs = self.expr()
         self.expect("in")
-        body = self.par_expr()
+        body = self.expr()
         return SLetK(tuple(binders), rhs, body, loc=loc)
 
     def lambda_expr(self) -> Expr:
         loc = self.next().loc
         self.expect("(")
-        params: list[tuple[str, TypeExpr]] = []
-        while not self.at(")"):
-            n = self.ident("parameter").text
-            self.expect(":")
-            params.append((n, self.type_expr()))
-            if not self.at(")"):
-                self.expect(",")
-        self.expect(")")
+        params = self.seq(")", lambda: self.typed_binder("parameter"))
         self.expect("->")
         ret = self.type_expr()
         self.expect(".")
-        body = self.par_expr()
+        body = self.expr()
         return SLambda(tuple(params), ret, body, loc=loc)
 
     def postfix_expr(self) -> Expr:
@@ -503,13 +453,7 @@ class _Parser:
                 callable_head = False
             elif t.text == "<":
                 self.next()
-                args: list[Expr] = []
-                while not self.at(">"):
-                    args.append(self.par_expr())
-                    if not self.at(">"):
-                        self.expect(",")
-                self.expect(">")
-                e = Request(e, tuple(args), loc=t.loc)
+                e = Request(e, tuple(self.seq(">", self.expr)), loc=t.loc)
                 callable_head = False
             elif t.text == "[":
                 self.next()
@@ -519,16 +463,11 @@ class _Parser:
                 callable_head = False
             elif t.text == "(" and callable_head:
                 self.next()
-                args = []
-                while not self.at(")"):
-                    args.append(self.par_expr())
-                    if not self.at(")"):
-                        self.expect(",")
-                self.expect(")")
+                args = tuple(self.seq(")", self.expr))
                 if isinstance(e, core.Var) and is_builtin(e.name):
-                    e = BaseOp(e.name, tuple(args), loc=t.loc)
+                    e = BaseOp(e.name, args, loc=t.loc)
                 else:
-                    e = SApply(e, tuple(args), loc=t.loc)
+                    e = SApply(e, args, loc=t.loc)
             else:
                 break
         return e
@@ -544,111 +483,62 @@ class _Parser:
         if t.kind == "STRING":
             self.next()
             return BaseLit(t.text, loc=t.loc)
-        if self.at("true"):
-            self.next()
+        if self.accept("true"):
             return BaseLit(True, loc=t.loc)
-        if self.at("false"):
-            self.next()
+        if self.accept("false"):
             return BaseLit(False, loc=t.loc)
-        if self.at("this"):
-            self.next()
+        if self.accept("this"):
             return This(loc=t.loc)
-        if self.at("zero"):
-            self.next()
+        if self.accept("zero"):
             return ZeroImage(loc=t.loc)
-        if self.at("par"):
-            self.next()
-            if self.at("("):
-                self.next()
-                items: list[Expr] = []
-                while not self.at(")"):
-                    items.append(self.par_expr())
-                    if not self.at(")"):
-                        self.expect(",")
-                self.expect(")")
-                return Par(tuple(items), loc=t.loc)
-            return Par((), loc=t.loc)
+        if self.accept("par"):
+            items = self.seq(")", self.expr) if self.accept("(") else ()
+            return Par(tuple(items), loc=t.loc)
         if self.at("srv"):
             return self.template()
-        if self.at("img"):
-            self.next()
+        if self.accept("img"):
             self.expect("(")
-            tmpl = self.par_expr()
+            tmpl = self.expr()
             self.expect(",")
-            buf = self.message_list()
+            self.expect("[")
+            buf = tuple(self.seq("]", self.message))
             self.expect(")")
             return Image(tmpl, buf, loc=t.loc)
-        if self.at("^"):
-            self.next()
+        if self.accept("^"):
             name = self.ident("external service name").text
             return ExternalRef(name, loc=t.loc)
-        if self.at("@"):
-            self.next()
-            local = False
-            if self.at("~"):
-                self.next()
-                local = True
-            num = self.peek()
+        if self.accept("@"):
+            placement = Placement.LOCAL if self.accept("~") else Placement.REMOTE
+            num = self.next()
             if num.kind != "INT":
                 raise ParseError("expected address number after @", num.loc)
-            self.next()
-            placement = Placement.LOCAL if local else Placement.REMOTE
             return Addr(Address(int(num.text), placement), loc=t.loc)
-        if self.at("["):
-            self.next()
-            items = []
-            while not self.at("]"):
-                items.append(self.par_expr())
-                if not self.at("]"):
-                    self.expect(",")
-            self.expect("]")
-            return ListV(tuple(items), loc=t.loc)
-        if self.at("("):
-            self.next()
+        if self.accept("["):
+            return ListV(tuple(self.seq("]", self.expr)), loc=t.loc)
+        if self.accept("("):
             if self.at(")"):
                 raise ParseError("empty parentheses are not an expression", t.loc)
-            first = self.par_expr()
-            if self.at(","):
-                items = [first]
-                while self.at(","):
-                    self.next()
-                    items.append(self.par_expr())
-                self.expect(")")
-                return TupleV(tuple(items), loc=t.loc)
+            items = [self.expr()]
+            while self.accept(","):
+                items.append(self.expr())
             self.expect(")")
-            return first
+            return items[0] if len(items) == 1 else TupleV(tuple(items), loc=t.loc)
         if t.kind == "IDENT" and t.text not in KEYWORDS:
             self.next()
             return core.Var(t.text, loc=t.loc)
         raise ParseError(f"unexpected token {t.text!r}", t.loc)
 
-    def message_list(self) -> tuple[MessageValue, ...]:
-        self.expect("[")
-        out: list[MessageValue] = []
-        while not self.at("]"):
-            name = self.service_name().text
-            self.expect("<")
-            args: list[Expr] = []
-            while not self.at(">"):
-                args.append(self.par_expr())
-                if not self.at(">"):
-                    self.expect(",")
-            self.expect(">")
-            for a in args:
-                if not is_value(a):
-                    raise ParseError("buffered message arguments must be values", self.peek().loc)
-            out.append(MessageValue(name, tuple(args)))
-            if not self.at("]"):
-                self.expect(",")
-        self.expect("]")
-        return tuple(out)
+    def message(self) -> MessageValue:
+        name = self.service_name().text
+        self.expect("<")
+        args = tuple(self.seq(">", self.expr))
+        if not all(map(is_value, args)):
+            raise ParseError("buffered message arguments must be values", self.peek().loc)
+        return MessageValue(name, args)
 
     def template(self) -> Expr:
         start = self.expect("srv")
-        transparent = False
-        if self.at("*"):
-            self.next()
-            transparent = True
+        transparent = self.accept("*")
         self.expect("{")
         header: dict[str, SvcT] = {}
         # Header entries: `name: <T, ...>` separated by optional commas, until
@@ -658,16 +548,13 @@ class _Parser:
             and self.peek().text not in KEYWORDS
             and self.at(":", ahead=1)
         ):
-            name = self.ident().text
-            self.expect(":")
-            ty = self.type_expr()
+            name, ty = self.typed_binder("identifier")
             if not isinstance(ty, SvcT):
                 raise ParseError(f"service {name!r} must be declared at a service type", start.loc)
             if name in header:
                 raise ParseError(f"duplicate service declaration {name!r}", start.loc)
             header[name] = ty
-            if self.at(","):
-                self.next()
+            self.accept(",")
         rules: list[ReactionRule] = []
         while not self.at("}"):
             rules.append(self.rule(header))
@@ -678,27 +565,16 @@ class _Parser:
 
     def rule(self, header: dict[str, SvcT]) -> ReactionRule:
         patterns = [self.pattern(header)]
-        while self.at("&"):
-            self.next()
+        while self.accept("&"):
             patterns.append(self.pattern(header))
         self.expect(":>")
-        body = self.par_expr()
+        body = self.expr()
         return ReactionRule(tuple(patterns), body)
 
     def pattern(self, header: dict[str, SvcT]) -> JoinPattern:
         name_tok = self.service_name()
         self.expect("<")
-        params: list[tuple[str, Optional[TypeExpr]]] = []
-        while not self.at(">"):
-            p = self.ident("pattern parameter").text
-            ann: Optional[TypeExpr] = None
-            if self.at(":"):
-                self.next()
-                ann = self.type_expr()
-            params.append((p, ann))
-            if not self.at(">"):
-                self.expect(",")
-        self.expect(">")
+        params = self.seq(">", self.pattern_param)
         declared = header.get(name_tok.text)
         resolved: list[tuple[str, TypeExpr]] = []
         for idx, (p, ann) in enumerate(params):
@@ -719,23 +595,23 @@ class _Parser:
             )
         return JoinPattern(name_tok.text, tuple(resolved))
 
+    def pattern_param(self) -> tuple[str, Optional[TypeExpr]]:
+        name = self.ident("pattern parameter").text
+        return name, (self.type_expr() if self.accept(":") else None)
+
     # types ------------------------------------------------------------------
 
     def type_expr(self) -> TypeExpr:
         t = self.peek()
-        if self.at("("):
-            self.next()
+        if self.accept("("):
             args: list[TypeExpr] = []
             if not self.at(")"):
                 args.append(self.type_expr())
-                while self.at(","):
-                    self.next()
+                while self.accept(","):
                     args.append(self.type_expr())
             self.expect(")")
-            if self.at("->"):
-                self.next()
-                ret = self.type_expr()
-                return SvcT(tuple(args) + (SvcT((ret,)),))
+            if self.accept("->"):
+                return SvcT((*args, SvcT((self.type_expr(),))))
             if len(args) == 1:
                 return args[0]
             if not args:
@@ -745,45 +621,27 @@ class _Parser:
 
     def prefix_type(self) -> TypeExpr:
         t = self.peek()
-        if self.at("inst"):
-            self.next()
+        if self.accept("inst"):
             return core.InstT(self.prefix_type())
-        if self.at("img"):
-            self.next()
+        if self.accept("img"):
             return core.ImgT(self.prefix_type())
-        if self.at("forall"):
-            self.next()
+        if self.accept("forall"):
             var = self.ident("type variable").text
-            bound: TypeExpr = Top()
-            if self.at("<:"):
-                self.next()
-                bound = self.type_expr()
+            bound = self.type_expr() if self.accept("<:") else Top()
             self.expect(".")
             return Univ(var, bound, self.type_expr())
-        if self.at("<"):
-            self.next()
-            args: list[TypeExpr] = []
-            while not self.at(">"):
-                args.append(self.type_expr())
-                if not self.at(">"):
-                    self.expect(",")
-            self.expect(">")
-            return SvcT(tuple(args))
-        if self.at("srv"):
-            self.next()
+        if self.accept("<"):
+            return SvcT(tuple(self.seq(">", self.type_expr)))
+        if self.accept("srv"):
             self.expect("{")
-            entries: list[tuple[str, SvcT]] = []
-            while not self.at("}"):
-                name = self.ident("service name").text
-                self.expect(":")
-                ty = self.type_expr()
+
+            def entry() -> tuple[str, TypeExpr]:
+                name, ty = self.typed_binder("service name")
                 if not isinstance(ty, SvcT):
                     raise ParseError(f"service {name!r} must have a service type", t.loc)
-                entries.append((name, ty))
-                if not self.at("}"):
-                    self.expect(",")
-            self.expect("}")
-            return SrvT(tuple(entries))
+                return name, ty
+
+            return SrvT(tuple(self.seq("}", entry)))
         if self.at("("):
             return self.type_expr()
         if t.kind == "IDENT" and t.text not in KEYWORDS:
@@ -799,19 +657,12 @@ class _Parser:
                 return SrvBot()
             if name in ("Int", "Bool", "Float", "String"):
                 return BaseT(name)
-            args = []
-            if self.at("["):
-                self.next()
-                while not self.at("]"):
-                    args.append(self.type_expr())
-                    if not self.at("]"):
-                        self.expect(",")
-                self.expect("]")
+            args = tuple(self.seq("]", self.type_expr)) if self.accept("[") else ()
             if name in ("List", "Map", "Tuple"):
-                return DataT(name, tuple(args))
+                return DataT(name, args)
             if name[0].islower() and not args:
                 return TypeVar(name)
-            return AliasT(name, tuple(args))
+            return AliasT(name, args)
         raise ParseError(f"expected a type, found {t.text!r}", t.loc)
 
 

@@ -57,6 +57,28 @@ def test_parse_error_exits_three(tmp_path, capsys):
     assert main(["check", str(f)]) == 3
 
 
+def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
+    # `²` passes str.isdigit but not int(); `½` is numeric but no letter.
+    for ch in ("²", "½"):
+        f = tmp_path / "bad.cpl"
+        f.write_text(f"result<{ch}>\n", encoding="utf-8")
+        assert main(["check", str(f)]) == 3
+        assert capsys.readouterr().err.strip() == f"error: 1:8: unexpected character {ch!r}"
+
+
+def test_locations_after_a_multiline_string(tmp_path, capsys):
+    from cpl.errors import Loc
+    from cpl.parser import tokenize
+
+    src = 'def s = "a\nb";\nresult<zz>\n'
+    toks = tokenize(src)
+    assert [(t.text, t.loc) for t in toks[4:7]] == [(";", Loc(2, 3)), ("result", Loc(3, 1)), ("<", Loc(3, 7))]
+    f = tmp_path / "nl.cpl"
+    f.write_text(src)
+    assert main(["check", str(f), "--no-prelude"]) == 1
+    assert capsys.readouterr().err.strip() == "type error: 3:8: UnboundVar: unbound variable 'zz'"
+
+
 def test_run_fact_smallstep(examples, capsys):
     assert main(["run", examples["fact.cpl"], "--engine=smallstep", "--seed", "1"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
