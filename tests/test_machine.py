@@ -453,12 +453,15 @@ class TestPolicyAndBounds:
 # fires timers or stops), then the run status and the final observations.
 # Taken from the scheduler that scanned every instance on every step, before
 # the ready set replaced it; both must choose the same redex at every step.
+# wordcount_ft's, which covers timers, Snap and Repl, was taken later from the
+# ready-set scheduler that walked every top-level component on every step.
 SCHEDULE_FINGERPRINTS = {
     "fact.cpl": "130b253c131bc8802367696443814a25d5e44782c2a707fe4653e5604b708e3b",
     "stuck.cpl": "d98f36d8919cb3152fdeb66fcbf319cfd9825097fff74113396e734bf92de837",
     "supervision_demo.cpl": "52ec9926da3b12c633731b2b91061154eedf8c0540c4157c296d0f84662a5eb6",
     "wordcount.cpl": "798f7d9d461262b9163d4bba9c1aa2658faf812e5960a50850d8a2c4371c73c4",
     "wordcount_lb.cpl": "5bb30763021b48df64d6c0329cde2852872337d4e30f2900febe29829eef802f",
+    "wordcount_ft.cpl": "8e0fb3912a0db78e04857a4285d80d1d44a8d45ad6d6635d9b997e3f52e00fa8",
 }
 
 
