@@ -1,11 +1,22 @@
 """Deterministic small-step machine for the seven reduction rules.
 
-Each step makes one pre-order walk over the evaluation positions of the term
-(congruence is implicit). The walk stops at the first nested parallel
+The term is a soup: a top-level parallel composition whose components are
+the molecules of a reflexive chemical abstract machine. Each step takes the
+redexes one pre-order walk over the evaluation positions would find
+(congruence is implicit): the walk stops at the first nested parallel
 composition and otherwise reports the first deliverable request and the
 first contraction candidate (Spwn, Snap, Repl, type application, base
 operation, if). Rules take priority in the order Par, Rcv, React,
 contraction, and only the chosen redex is contracted.
+
+That walk is not made over the whole term. Each top-level component caches
+a summary of its own walk, with positions relative to itself: its first Par
+redex, the sendable requests before it and its first contraction candidate
+before it. Terms are immutable, so a summary holds while its component stays
+in the soup; a step rewrites one component or appends one, and only that one
+is walked again. `step` reads the summaries in component order and checks the
+requests against the routing table there, so a Repl that makes an instance
+live or inert invalidates nothing.
 
 React does not scan the routing table. Every configuration carries a ready
 set: the addresses whose entry is live and whose buffer matches at least one
@@ -226,50 +237,36 @@ def _reacts(entry: ServerImage) -> bool:
 # ---------------------------------------------------------------------------
 
 # A position is None for the root, else (parent, parent's subterms, index of
-# this subterm among them, parent's position).
+# this subterm among them, parent's position). A path is a position without
+# the parents: None, else (parent's subterms, index, parent's path).
 Position = Optional[tuple[Expr, tuple[Expr, ...], int, "Position"]]
+Path = Optional[tuple[tuple[Expr, ...], int, "Path"]]
 Site = tuple[Expr, Position]
 
-
-def _sites(root: Expr) -> Iterator[Site]:
-    """The non-value subterms of root in evaluation position, in pre-order,
-    each with its position. No Python frame per nesting level."""
-    if is_value(root):
-        return
-    todo: list[Site] = [(root, None)]
-    while todo:
-        site = todo.pop()
-        yield site
-        x = site[0]
-        shape = shape_of(x)
-        kids = shape.children(x)
-        for i in range((len(kids) if shape.evals is None else shape.evals) - 1, -1, -1):
-            k = kids[i]
-            if not is_value(k):
-                todo.append((k, (x, kids, i, site[1])))
+# What one walk over a term finds, each with its path from the term: its
+# first Par redex (the walk stops there), the sendable requests before it and
+# its first contraction candidate before it. A site at the term itself is
+# _HERE, and paths name no parent, so that the summary cached on a term holds
+# no reference to it.
+Found = tuple[Optional[Expr], Path]
+Summary = tuple[Optional[Found], tuple[Found, ...], Optional[Found]]
+_HERE: Found = (None, None)
 
 
-def _plug(pos: Position, r: Expr) -> Expr:
-    """The root with r in place of the subterm at pos; the ancestors are
-    rebuilt, every other subterm is shared."""
-    while pos is not None:
-        node, kids, i, pos = pos
-        new = list(kids)
-        new[i] = r
-        r = shape_of(node).rebuild(node, new)
-    return r
+def _sendable(e: Request) -> bool:
+    """A request with value arguments to an engine endpoint or an address.
+    It is deliverable when the callee is an endpoint or a live instance."""
+    callee = e.callee
+    return (
+        isinstance(callee, ExternalRef)
+        or (isinstance(callee, ServiceRef) and isinstance(callee.target, Addr))
+    ) and all(is_value(a) for a in e.args)
 
 
 def _deliverable(e: Request, table: RoutingTable) -> bool:
-    """A request with value arguments to an engine endpoint or a live instance."""
-    if not all(is_value(a) for a in e.args):
-        return False
+    """Whether a sendable request can be received now."""
     callee = e.callee
-    return isinstance(callee, ExternalRef) or (
-        isinstance(callee, ServiceRef)
-        and isinstance(callee.target, Addr)
-        and isinstance(table.get(callee.target.address), Live)
-    )
+    return isinstance(callee, ExternalRef) or isinstance(table.get(callee.target.address), Live)
 
 
 # The forms `step` contracts in place, and among them the administrative
@@ -284,28 +281,117 @@ def _evaluated(e: Expr) -> bool:
     return all(is_value(k) for k in shape.children(e)[: shape.evals])
 
 
-def _scan(
-    root: Expr, table: Optional[RoutingTable], forms: frozenset[type]
-) -> tuple[Optional[Site], Optional[Site], Optional[Site]]:
-    """One pre-order walk over the evaluation positions of root.
-
-    Returns the first Par redex (a parallel composition with a parallel
-    component; the walk stops there), the first deliverable request (none
-    when table is None) and the first term of a class in `forms` whose
-    evaluation subterms are values. Contracting that one may still be stuck.
-    """
-    rcv = red = None
-    for site in _sites(root):
-        x = site[0]
+def _candidates(root: Expr, forms: frozenset[type]) -> Iterator[Found]:
+    """The non-value subterms of root in evaluation position that a rule may
+    contract, in pre-order, each with its path from root: parallel
+    compositions with a parallel component (Par), sendable requests (Rcv),
+    and terms of a class in `forms` whose evaluation subterms are values
+    (contracting one may still be stuck). No Python frame per nesting level."""
+    if is_value(root):
+        return
+    todo: list[Found] = [(root, None)]
+    while todo:
+        site = todo.pop()
+        x, path = site
         cls = type(x)
         if cls is Par:
             if any(type(y) is Par for y in x.exprs):
-                return site, rcv, red
+                yield site
         elif cls is Request:
-            if rcv is None and table is not None and _deliverable(x, table):
-                rcv = site
-        elif red is None and cls in forms and _evaluated(x):
+            if _sendable(x):
+                yield site
+        elif cls in forms and _evaluated(x):
+            yield site
+        shape = shape_of(x)
+        kids = shape.children(x)
+        for i in range((len(kids) if shape.evals is None else shape.evals) - 1, -1, -1):
+            k = kids[i]
+            if not is_value(k):
+                todo.append((k, (kids, i, path)))
+
+
+def _located(site: Found, root: Expr, at: Position) -> Site:
+    """A subterm of root given by its path, as a site of the term in which
+    root sits at position `at`; (None, None) stands for root itself."""
+    links = []
+    path = site[1]
+    while path is not None:
+        links.append(path)
+        path = path[2]
+    node, pos = root, at
+    for kids, i, _ in reversed(links):
+        pos = (node, kids, i, pos)
+        node = kids[i]
+    return node, pos
+
+
+def _plug(pos: Position, r: Expr) -> Expr:
+    """The root with r in place of the subterm at pos; the ancestors are
+    rebuilt, every other subterm is shared."""
+    while pos is not None:
+        node, kids, i, pos = pos
+        new = list(kids)
+        new[i] = r
+        r = shape_of(node).rebuild(node, new)
+    return r
+
+
+def _summary(e: Expr, forms: frozenset[type]) -> Summary:
+    reqs: list[Found] = []
+    red = None
+    for site in _candidates(e, forms):
+        x, path = site
+        if path is None:
+            site = _HERE
+        cls = type(x)
+        if cls is Par:
+            return site, tuple(reqs), red
+        if cls is Request:
+            reqs.append(site)
+        elif red is None:
             red = site
+    return None, tuple(reqs), red
+
+
+def _summary_of(e: Expr, forms: frozenset[type]) -> Summary:
+    """The summary of a top-level component. It does not depend on the
+    routing table, so `step`'s is cached on the term, like `is_value`'s."""
+    if forms is not _CONTRACTIBLE:
+        return _summary(e, forms)
+    s = getattr(e, "_scache", None)
+    if s is None:
+        s = _summary(e, forms)
+        object.__setattr__(e, "_scache", s)
+    return s
+
+
+def _scan(
+    root: Par, table: Optional[RoutingTable], forms: frozenset[type]
+) -> tuple[Optional[Site], Optional[Site], Optional[Site]]:
+    """The sites one pre-order walk over the evaluation positions of root
+    would find: the first Par redex (a parallel composition with a parallel
+    component; the walk stops there), the first deliverable request (none
+    when table is None) and the first term of a class in `forms` whose
+    evaluation subterms are values. Contracting that one may still be stuck.
+
+    The root comes first; below it, the walk is read off the summaries of
+    the top-level components in order, and only deliverability is checked
+    against the table here."""
+    comps = root.exprs
+    if any(type(y) is Par for y in comps):
+        return (root, None), None, None
+    rcv = red = None
+    for i, comp in enumerate(comps):
+        par, reqs, r = _summary_of(comp, forms)
+        if rcv is None and table is not None:
+            for q in reqs:
+                if _deliverable(comp if q[0] is None else q[0], table):
+                    rcv = _located(q, comp, (root, comps, i, None))
+                    break
+        if red is None and r is not None:
+            red = _located(r, comp, (root, comps, i, None))
+        if par is not None:
+            return _located(par, comp, (root, comps, i, None)), rcv, red
     return None, rcv, red
 
 
@@ -678,12 +764,14 @@ def _successors(config: Config) -> Iterator[Config]:
     a contraction at every evaluated position that is not stuck (a closed
     config has only Spwn, Snap and Repl left), and React for every instance,
     rule and complete match."""
-    for x, pos in _sites(config.expr):
+    root = config.expr
+    for site in _candidates(root, _CONTRACTIBLE):
+        x, pos = _located(site, root, None)
         cls = type(x)
         if cls is Request:
             if _deliverable(x, config.table):
                 yield _receive(config, x, pos).config
-        elif cls in _CONTRACTIBLE and _evaluated(x):
+        elif cls is not Par:
             try:
                 s = _contract(config, x, pos)
             except StuckError:

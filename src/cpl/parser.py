@@ -217,16 +217,19 @@ _BINARY = {
 
 class _Parser:
     def __init__(self, src: str):
+        # One more EOF after the last, so that `peek(1)` never needs a bound;
+        # `next` stops at the first.
         self.toks = tokenize(src)
+        self.toks.append(self.toks[-1])
         self.pos = 0
 
     # token helpers --------------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def at(self, text: str, ahead: int = 0) -> bool:
-        t = self.peek(ahead)
+        t = self.toks[self.pos + ahead]
         return t.text == text and t.kind in ("PUNCT", "IDENT")
 
     def at_kind(self, kind: str) -> bool:

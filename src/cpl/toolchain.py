@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 from dataclasses import dataclass
 from typing import Optional
@@ -51,6 +52,13 @@ def stdlib_source(name: str) -> str:
     return importlib.resources.files("cpl").joinpath("stdlib", name).read_text()
 
 
+@functools.cache
+def _parsed_stdlib(name: str) -> Program:
+    """The stdlib file parsed once per process; a `Program` is immutable.
+    Desugaring stays per load: fresh names depend on the merged program."""
+    return parse(stdlib_source(name))
+
+
 def example_source(name: str) -> str:
     return importlib.resources.files("cpl").joinpath("examples", name).read_text()
 
@@ -87,8 +95,7 @@ def load_program(
     """Parse, merge with the stdlib, and desugar to a core expression."""
     parts: list[Program] = []
     if include_prelude:
-        for name in STDLIB_FILES:
-            parts.append(parse(stdlib_source(name)))
+        parts.extend(_parsed_stdlib(name) for name in STDLIB_FILES)
     parts.append(parse(text))
     merged = _merge_programs(parts)
     if merged.main is None:

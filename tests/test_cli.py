@@ -220,6 +220,20 @@ def test_desugar_with_prelude_flag(tmp_path, capsys):
     assert "MkWorker" in out  # the stdlib def chain is present
 
 
+def test_desugar_with_prelude_repeats_in_process(tmp_path, capsys, monkeypatch):
+    # The stdlib is parsed once per process and shared; desugaring it again
+    # must print the same term, fresh names included.
+    f = tmp_path / "p.cpl"
+    f.write_text("def x = 1 + 2;\nresult<x>\n")
+    assert main(["desugar", str(f), "--prelude"]) == 0
+    first = capsys.readouterr().out
+    parsed, parse = [], tc.parse
+    monkeypatch.setattr(tc, "parse", lambda text: parsed.append(text) or parse(text))
+    assert main(["desugar", str(f), "--prelude"]) == 0
+    assert capsys.readouterr().out == first
+    assert parsed == [f.read_text()]  # only the user's program
+
+
 def test_run_stuck_concurrent_engine(examples, capsys):
     code = main(["run", examples["stuck.cpl"], "--no-prelude", "--engine=concurrent"])
     captured = capsys.readouterr()

@@ -12,6 +12,7 @@ from cpl.core import (
     Address,
     BaseLit,
     BaseOp,
+    ExternalRef,
     If,
     Image,
     JoinPattern,
@@ -27,8 +28,12 @@ from cpl.core import (
     Request,
     ServiceRef,
     Snap,
+    Spwn,
+    TypeApp,
     Var,
     ZeroImage,
+    is_value,
+    shape_of,
 )
 from cpl.errors import StuckError
 from cpl.machine import (
@@ -488,3 +493,134 @@ def schedule_fingerprint(monkeypatch, name, seed):
 @pytest.mark.parametrize("name", sorted(SCHEDULE_FINGERPRINTS))
 def test_schedule_fingerprint(monkeypatch, name, seed):
     assert schedule_fingerprint(monkeypatch, name, seed) == SCHEDULE_FINGERPRINTS[name]
+
+
+# ---------------------------------------------------------------------------
+# The redex search read off per-component summaries
+# ---------------------------------------------------------------------------
+
+
+def _reference_scan(root, table):
+    """One full pre-order walk over the evaluation positions of root, with
+    no summary: the first Par redex (the walk stops there), the first
+    deliverable request and the first evaluated contraction candidate."""
+    rcv = red = None
+    todo = [] if is_value(root) else [(root, None)]
+    while todo:
+        site = todo.pop()
+        x = site[0]
+        shape = shape_of(x)
+        kids = shape.children(x)
+        if type(x) is Par:
+            if any(type(y) is Par for y in x.exprs):
+                return site, rcv, red
+        elif type(x) is Request:
+            callee = x.callee
+            if rcv is None and all(is_value(a) for a in x.args) and (
+                isinstance(callee, ExternalRef)
+                or isinstance(callee, ServiceRef)
+                and isinstance(callee.target, Addr)
+                and isinstance(table.get(callee.target.address), Live)
+            ):
+                rcv = site
+        elif red is None and type(x) in (Spwn, Snap, Repl, TypeApp, BaseOp, If):
+            if all(is_value(k) for k in kids[: shape.evals]):
+                red = site
+        for i in reversed(range(len(kids) if shape.evals is None else shape.evals)):
+            if not is_value(kids[i]):
+                todo.append((kids[i], (x, kids, i, site[1])))
+    return None, rcv, red
+
+
+_HOLE = Var("the hole of a plugged position")
+
+
+def _same_site(got, want) -> bool:
+    if got is None or want is None:
+        return got is want
+    return got[0] is want[0] and cpl.machine._plug(got[1], _HOLE) == cpl.machine._plug(want[1], _HOLE)
+
+
+def _run_checking_scans(monkeypatch, config, seed, max_steps=500_000):
+    """Run config, comparing on every step the scan `step` reads with a full
+    walk: the same Par redex, request and contraction candidate, each the
+    same node at the same position."""
+    inner = cpl.machine.step
+    steps = []
+
+    def checking(config, policy):
+        got = cpl.machine._scan(config.expr, config.table, cpl.machine._CONTRACTIBLE)
+        want = _reference_scan(config.expr, config.table)
+        assert [_same_site(g, w) for g, w in zip(got, want)] == [True] * 3, f"step {len(steps) + 1}"
+        steps.append(config)
+        return inner(config, policy)
+
+    with monkeypatch.context() as m:
+        m.setattr(cpl.machine, "step", checking)
+        res = run(config, deterministic(seed), max_steps, record_trace=False)
+    return res, len(steps)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(SCHEDULE_FINGERPRINTS))
+def test_cached_scan_matches_a_full_walk(monkeypatch, name, seed):
+    res, steps = _run_checking_scans(monkeypatch, boot(tc.example_source(name), prelude=True), seed)
+    assert steps > 50
+    assert res.status == COMPLETED
+
+
+def test_cached_scan_stops_at_a_nested_par_redex(monkeypatch):
+    # The walk stops inside the first component, so neither the base
+    # operation after the nested Par nor the later request is reported.
+    nested = Request(ExternalRef("result"), (Par((Par(()),)), BaseOp("add", (BaseLit(1), BaseLit(2)))))
+    config = Config(Par((nested, Request(ExternalRef("print"), (BaseLit(3),)))), {}, 0)
+    assert cpl.machine._scan(config.expr, config.table, cpl.machine._CONTRACTIBLE)[1:] == (None, None)
+    res, steps = _run_checking_scans(monkeypatch, config, 0)
+    assert res.status == COMPLETED and steps == 7
+
+
+def test_request_waits_on_an_inert_address_until_repl_revives_it(monkeypatch):
+    # The request w#a<1> joins the top level while w is inert. Its summary,
+    # cached then, lists it; the Repl that makes w live again does not touch
+    # it, and the next scan finds it deliverable.
+    src = """
+let w: inst srv { a: <Int> } = spwn srv { a<x: Int> :> result<x> } in
+let i: img srv { a: <Int> } = snap w in
+(spwn srv { go<u: Unit> :> (w#a<1> || this#back<>)  back<> :> repl w i })#go<repl w zero>
+"""
+    res, _ = _run_checking_scans(monkeypatch, boot(src), 0)
+    assert res.status == COMPLETED
+    assert ss_obs(res) == [1]
+    res = run(boot(src), deterministic(0), 1_000)
+    events = [f"{s.rule} {s.detail}" for s in res.trace.steps]
+    first, second = [i for i, e in enumerate(events) if e == "Repl @1"]
+    waiting = [s.top for s in res.trace.steps[first + 1 : second]]
+    assert any("@1#a<1>" in top for top in waiting)
+    assert events.index("Rcv @1") > second
+
+
+def test_a_dropped_component_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    # One component with a nested contraction candidate and one that is its
+    # own first site: neither summary may hold its component.
+    comps = [
+        Request(ExternalRef("result"), (BaseOp("add", (BaseLit(1), BaseLit(2))),)),
+        Request(ExternalRef("print"), (BaseLit(3),)),
+    ]
+    refs = [weakref.ref(c) for c in comps]
+    config = Config(Par(tuple(comps)), {}, 0)
+    del comps
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        res = run(config, deterministic(0), 100)
+        assert [(s.rule, s.detail) for s in res.trace.steps] == [
+            ("Obs", "print"), ("Par", ""), ("Base", ""), ("Obs", "result"), ("Par", ""),
+        ]
+        del config, res
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
