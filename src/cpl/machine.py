@@ -337,6 +337,7 @@ def _plug(pos: Position, r: Expr) -> Expr:
 
 
 def _summary(e: Expr, forms: frozenset[type]) -> Summary:
+    """What one walk over e finds (see `Summary`)."""
     reqs: list[Found] = []
     red = None
     for site in _candidates(e, forms):
@@ -428,11 +429,12 @@ class Stepped:
 def step(config: Config, policy: Policy) -> Optional[Stepped]:
     """Perform exactly one atomic reduction, or report quiescence with None.
 
-    One walk over the term finds the first Par redex, the first deliverable
-    request and the first contraction candidate. The priority is Par, then
-    Rcv, then React, then contraction, and only the redex taken is
-    contracted: a stuck term or a builtin elsewhere has no effect yet. React
-    reads the configuration's ready set instead of matching every instance.
+    `_scan` finds the first Par redex, the first deliverable request and the
+    first contraction candidate, walking only the top-level components that
+    have no cached summary yet. The priority is Par, then Rcv, then React,
+    then contraction, and only the redex taken is contracted: a stuck term
+    or a builtin elsewhere has no effect yet. React reads the
+    configuration's ready set instead of matching every instance.
     """
     par, rcv, red = _scan(config.expr, config.table, _CONTRACTIBLE)
     if par is not None:
