@@ -93,9 +93,11 @@ Observation = tuple[int, str, tuple[Expr, ...]]
 class Config:
     """A machine state e | mu plus bookkeeping for builtins and plumbing.
 
-    `ready` holds the addresses whose entry is live and whose buffer matches
-    at least one rule of its template. It is derived from `table` when a
-    config is built without it; after that, write entries through `put`.
+    `expr` is the soup, a top-level parallel composition (`initial_config`
+    wraps any other term). `ready` holds the addresses whose entry is live
+    and whose buffer matches at least one rule of its template. It is
+    derived from `table` when a config is built without it; after that,
+    write entries through `put`.
     """
 
     expr: Expr
