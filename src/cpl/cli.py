@@ -15,7 +15,7 @@ from typing import Optional
 from . import machine, toolchain
 from .core import Expr
 from .errors import CplError, DesugarError, LinearityError, MachineError, ParseError
-from .pretty import pretty_expr, pretty_type
+from .pretty import pretty_expr, pretty_message, pretty_type
 from .runtime import value_to_json
 from .typecheck import TypeCheckError
 
@@ -39,10 +39,11 @@ def _load(args, input_value: Optional[Expr] = None) -> toolchain.Loaded:
 
 
 def _observation_lines(observations) -> str:
-    out = []
-    for _, service, vals in observations:
-        out.append(json.dumps({"service": service, "args": [value_to_json(v) for v in vals]}))
-    return "\n".join(out) + ("\n" if out else "")
+    """One JSON line per (service, args) pair."""
+    return "".join(
+        json.dumps({"service": service, "args": [value_to_json(v) for v in vals]}) + "\n"
+        for service, vals in observations
+    )
 
 
 def cmd_check(args) -> int:
@@ -68,14 +69,10 @@ def _ingest(args) -> Optional[Expr]:
 def _pending_diagnostic(pending) -> str:
     if not pending:
         return "quiescent: undelivered requests remain in transit"
-    shown = ", ".join(f"{pretty_expr_msg(m)} at addr {a.id}" for a, m in pending[:5])
+    shown = ", ".join(f"{pretty_message(m)} at addr {a.id}" for a, m in pending[:5])
     more = "" if len(pending) <= 5 else ", ..."
     noun = "message" if len(pending) == 1 else "messages"
     return f"quiescent: {len(pending)} pending {noun} ({shown}{more})"
-
-
-def pretty_expr_msg(m) -> str:
-    return m.service + "<" + ", ".join(pretty_expr(a) for a in m.args) + ">"
 
 
 def cmd_run(args) -> int:
@@ -84,7 +81,7 @@ def cmd_run(args) -> int:
     toolchain.check_expr(loaded.core, loaded.env)
     if args.engine == "smallstep":
         result = toolchain.run_smallstep(loaded.core, seed=args.seed, max_steps=args.max_steps)
-        sys.stdout.write(_observation_lines(result.final.observations))
+        sys.stdout.write(_observation_lines((s, vals) for _, s, vals in result.final.observations))
         if result.status == machine.STEP_LIMIT:
             print("step limit reached", file=sys.stderr)
             return EXIT_RUNTIME
@@ -98,10 +95,7 @@ def cmd_run(args) -> int:
     )
     try:
         log = rt.log.snapshot()
-        for o in log:
-            sys.stdout.write(
-                json.dumps({"service": o.service, "args": [value_to_json(v) for v in o.args]}) + "\n"
-            )
+        sys.stdout.write(_observation_lines((o.service, o.args) for o in log))
         if rt.timed_out:
             print("timeout reached", file=sys.stderr)
             return EXIT_RUNTIME

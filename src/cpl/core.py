@@ -146,18 +146,6 @@ FLOAT = BaseT("Float")
 STRING = BaseT("String")
 
 
-def list_t(elem: TypeExpr) -> DataT:
-    return DataT("List", (elem,))
-
-
-def tuple_t(*items: TypeExpr) -> DataT:
-    return DataT("Tuple", tuple(items))
-
-
-def map_t(key: TypeExpr, val: TypeExpr) -> DataT:
-    return DataT("Map", (key, val))
-
-
 # ---------------------------------------------------------------------------
 # Terms
 # ---------------------------------------------------------------------------

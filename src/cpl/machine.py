@@ -36,13 +36,19 @@ arrival number. A readiness check compares queue lengths with the patterns'
 demand, and a React takes the queue heads, so both read O(patterns) messages
 whatever the depth. `Live.buffer` is the arrival-ordered view, which
 snapshots, traces, digests and the typechecker see as before.
+
+The threaded runtime runs the same rules on another scheduler. It shares
+this module's side conditions (`spawnable`, `address_of`, `timer_due`,
+`instantiate`, `branch`), its table entries (`Live`, `Inert`), its observer
+wiring (`wire_observers`) and its idle-timer rule (`MAX_IDLE_TIMER_ROUNDS`),
+so an ill-formed redex raises the same `StuckError` on both engines.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .builtins import EffectContext, apply_builtin
 from .core import (
@@ -75,8 +81,10 @@ from .core import (
     TupleV,
     TypeAbs,
     TypeApp,
+    TypeExpr,
     ZeroImage,
     bind,
+    free_vars,
     image_of,
     is_value,
     shape_of,
@@ -87,6 +95,24 @@ from .errors import ExplosionError, StuckError
 from .pretty import pretty_expr
 
 Observation = tuple[int, str, tuple[Expr, ...]]
+
+# The free names a program sends its observations to. They and `timer` are
+# the engine endpoints.
+OBSERVERS = ("result", "event", "print")
+
+# When nothing else can move but timers are armed, time jumps to the next
+# deadline and the timers due then fire. A round that adds neither an
+# observation nor a replacement is idle; a run stops after this many idle
+# rounds in a row, which bounds re-arming loops (the recovery combinator
+# re-arms its check forever).
+MAX_IDLE_TIMER_ROUNDS = 6
+
+
+def wire_observers(core: Expr) -> Expr:
+    """Close a program over the engine endpoints: its free observer names
+    and `timer` become external references."""
+    names = {n: ExternalRef(n) for n in free_vars(core) if n in OBSERVERS or n == "timer"}
+    return substitute(core, names) if names else core
 
 
 @dataclass
@@ -405,15 +431,53 @@ def _flatten_one(e: Par) -> Par:
     raise AssertionError("no nested parallel composition")
 
 
-def _as_spawnable(v: Expr) -> Optional[ServerImage]:
-    """Value views accepted by Spwn/Repl; templates mean (template, eps)."""
+# ---------------------------------------------------------------------------
+# Side conditions, shared with the threaded runtime. Each takes evaluated
+# operands and raises StuckError when the redex is stuck.
+# ---------------------------------------------------------------------------
+
+
+def spawnable(v: Expr, op: str) -> ServerImage:
+    """The table entry that `op` (Spwn or Repl) writes for the image value v;
+    a template means (template, eps)."""
     if isinstance(v, ZeroImage):
         return Inert()
     if isinstance(v, ServerTemplate):
         return Live(v, ())
     if isinstance(v, Image) and isinstance(v.template, ServerTemplate) and is_value(v):
         return Live(v.template, v.buffer)
-    return None
+    raise StuckError(f"{op} applied to a non-image value: {pretty_expr(v)}")
+
+
+def address_of(v: Expr, op: str, table: Mapping[Address, object]) -> Address:
+    """The address that `op` (Snap or Repl) acts on; `table` holds the
+    allocated ones."""
+    if not isinstance(v, Addr):
+        raise StuckError(f"{op} applied to a non-address value: {pretty_expr(v)}")
+    if v.address not in table:
+        raise StuckError(f"{op} on unallocated address @{v.address.id}")
+    return v.address
+
+
+def timer_due(delay: Expr, now: int) -> int:
+    """The deadline of a timer armed at time `now`."""
+    if not (isinstance(delay, BaseLit) and type(delay.value) is int):
+        raise StuckError(f"timer delay is not an Int: {pretty_expr(delay)}")
+    return now + delay.value
+
+
+def instantiate(fn: Expr, arg: TypeExpr) -> Expr:
+    """Rule TAppAbs: the body of a type abstraction at type arg."""
+    if not isinstance(fn, TypeAbs):
+        raise StuckError("type application of a non-universal value")
+    return substitute_type_in_expr(fn.body, {fn.var: arg})
+
+
+def branch(cond: Expr, then: Expr, orelse: Expr) -> Expr:
+    """Rule If: the branch that a boolean condition selects."""
+    if not (isinstance(cond, BaseLit) and isinstance(cond.value, bool)):
+        raise StuckError("if condition is not a boolean")
+    return then if cond.value else orelse
 
 
 # ---------------------------------------------------------------------------
@@ -462,10 +526,7 @@ def _receive(config: Config, req: Request, pos: Position) -> Stepped:
     callee = req.callee
     if isinstance(callee, ExternalRef):
         if callee.name == "timer":
-            delay = req.args[0]
-            if not (isinstance(delay, BaseLit) and type(delay.value) is int):
-                raise StuckError(f"timer delay is not an Int: {pretty_expr(delay)}")
-            c.timers = c.timers + ((c.logical_time + delay.value, req.args[1]),)
+            c.timers = c.timers + ((timer_due(req.args[0], c.logical_time), req.args[1]),)
             return Stepped(c, "Timer", callee.name)
         c.observations = c.observations + ((c.logical_time, callee.name, tuple(req.args)),)
         return Stepped(c, "Obs", callee.name)
@@ -514,36 +575,21 @@ def _contract(config: Config, e: Expr, pos: Position) -> Stepped:
     c = config.copy()
     detail = ""
     if isinstance(e, Spwn):
-        img = _as_spawnable(e.expr)
-        if img is None:
-            raise StuckError(f"spwn applied to a non-image value: {pretty_expr(e.expr)}")
+        img = spawnable(e.expr, "spwn")
         addr = Address(c.next_address, e.placement)
         c.put(addr, img)
         c.next_address += 1
         rule, detail, r = "Spwn", f"@{addr.id}", Addr(addr)
     elif isinstance(e, Snap):
-        if not isinstance(e.expr, Addr):
-            raise StuckError(f"snap applied to a non-address value: {pretty_expr(e.expr)}")
-        entry = config.table.get(e.expr.address)
-        if entry is None:
-            raise StuckError(f"snap on unallocated address @{e.expr.address.id}")
-        rule, detail, r = "Snap", f"@{e.expr.address.id}", image_of(entry)
+        addr = address_of(e.expr, "snap", config.table)
+        rule, detail, r = "Snap", f"@{addr.id}", image_of(config.table[addr])
     elif isinstance(e, Repl):
-        if not isinstance(e.target, Addr):
-            raise StuckError(f"repl applied to a non-address value: {pretty_expr(e.target)}")
-        addr = e.target.address
-        if addr not in config.table:
-            raise StuckError(f"repl on unallocated address @{addr.id}")
-        img = _as_spawnable(e.image)
-        if img is None:
-            raise StuckError("repl applied to a non-image value")
-        c.put(addr, img)
+        addr = address_of(e.target, "repl", config.table)
+        c.put(addr, spawnable(e.image, "repl"))
         c.replaces += 1
         rule, detail, r = "Repl", f"@{addr.id}", Par(())
     elif isinstance(e, TypeApp):
-        if not isinstance(e.expr, TypeAbs):
-            raise StuckError("type application of a non-universal value")
-        rule, r = "TAppAbs", substitute_type_in_expr(e.expr.body, {e.expr.var: e.arg})
+        rule, r = "TAppAbs", instantiate(e.expr, e.arg)
     elif isinstance(e, BaseOp):
 
         def fresh_id() -> int:
@@ -554,9 +600,7 @@ def _contract(config: Config, e: Expr, pos: Position) -> Stepped:
         rule, r = "Base", apply_builtin(e.op, e.operands, fx)
     else:
         assert isinstance(e, If)
-        if not (isinstance(e.cond, BaseLit) and isinstance(e.cond.value, bool)):
-            raise StuckError("if condition is not a boolean")
-        rule, r = "If", e.then if e.cond.value else e.orelse
+        rule, r = "If", branch(e.cond, e.then, e.orelse)
     c.expr = _plug(pos, r)
     return Stepped(c, rule, detail)
 
@@ -577,9 +621,6 @@ class TraceStep:
 @dataclass
 class Trace:
     steps: list[TraceStep] = field(default_factory=list)
-
-    def rule_names(self) -> list[str]:
-        return [s.rule for s in self.steps]
 
     def normalized_rules(self) -> list[str]:
         keep = {"Spwn", "Rcv", "React", "Snap", "Repl"}
@@ -710,15 +751,9 @@ def run(
     policy: Policy,
     max_steps: int,
     record_trace: bool = True,
-    max_idle_timer_rounds: int = 6,
 ) -> RunResult:
-    """Iterate step until completion, quiescence, or the step limit.
-
-    When nothing else can move but timers are armed, logical time jumps to the
-    next deadline. Rounds that produce neither observations nor replacements
-    count as idle and bound re-arming loops (the recovery combinator re-arms
-    its check forever).
-    """
+    """Iterate step until completion, quiescence, or the step limit. Timers
+    fire by the rule at `MAX_IDLE_TIMER_ROUNDS`."""
     trace = Trace()
     current = config
     idle_rounds = 0
@@ -727,7 +762,7 @@ def run(
         s = step(current, policy)
         if s is None:
             now_progress = (len(current.observations), current.replaces)
-            if not current.timers or idle_rounds >= max_idle_timer_rounds:
+            if not current.timers or idle_rounds >= MAX_IDLE_TIMER_ROUNDS:
                 status = COMPLETED if _completed(current) else QUIESCENT
                 return RunResult(current, trace, status)
             idle_rounds = idle_rounds + 1 if now_progress == progress else 0

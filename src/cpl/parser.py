@@ -13,7 +13,7 @@ Precedence, loosest to tightest: `||` < `== != <= >=` (no chaining) < `::`
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from . import core
@@ -56,6 +56,7 @@ from .core import (
     ReactionRule,
     JoinPattern,
     ZeroImage,
+    _loc_field,
     is_value,
 )
 from .errors import Loc, ParseError
@@ -69,10 +70,6 @@ KEYWORDS = {
 # ---------------------------------------------------------------------------
 # Surface-only nodes
 # ---------------------------------------------------------------------------
-
-
-def _loc_field() -> Loc | None:
-    return field(default=None, compare=False, repr=False)  # type: ignore[return-value]
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ def _type_atom(t: TypeExpr) -> str:
     return s
 
 
-def _msg(m: MessageValue) -> str:
+def pretty_message(m: MessageValue) -> str:
     return m.service + "<" + ", ".join(pretty_expr(a) for a in m.args) + ">"
 
 
@@ -162,7 +162,7 @@ def pretty_expr(e: Expr) -> str:
         mark = "~" if e.address.placement is Placement.LOCAL else ""
         return f"@{mark}{e.address.id}"
     if isinstance(e, Image):
-        buf = ", ".join(_msg(m) for m in e.buffer)
+        buf = ", ".join(pretty_message(m) for m in e.buffer)
         return f"img({pretty_expr(e.template)}, [{buf}])"
     if isinstance(e, ZeroImage):
         return "zero"

@@ -5,7 +5,10 @@ same per-service queues as the small-step machine); firings are serialized
 per instance and executed on a small thread pool. Local placement runs an
 instance's firings inline on the sender's thread (bounded depth); remote
 placement queues them independently. snap/repl/send on one address are
-linearized by that instance's lock.
+linearized by that instance's lock. The rules themselves are the small-step
+machine's: an instance holds one of its table entries (`Live` or `Inert`),
+and every side condition is a `machine` helper, so a stuck redex raises the
+same `StuckError` on both engines.
 """
 
 from __future__ import annotations
@@ -17,11 +20,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .builtins import EffectContext, apply_builtin
 from .core import (
-    EMPTY_MAILBOX,
     THIS,
     Addr,
     Address,
@@ -33,35 +34,44 @@ from .core import (
     Image,
     ListV,
     Live,
-    Mailbox,
     MapV,
     MessageValue,
     Par,
     Placement,
     Repl,
     Request,
-    ServerTemplate,
+    ServerImage,
     ServiceRef,
     Snap,
     Spwn,
     TupleV,
-    TypeAbs,
     TypeApp,
     ZeroImage,
     children,
-    free_vars,
+    image_of,
     is_value,
     substitute,
-    substitute_type_in_expr,
     with_children,
 )
 from .errors import MachineError
-from .machine import _as_spawnable, deterministic, match_patterns
+from .machine import (
+    MAX_IDLE_TIMER_ROUNDS,
+    address_of,
+    branch,
+    deterministic,
+    instantiate,
+    match_patterns,
+    spawnable,
+    timer_due,
+    wire_observers,
+)
 
-DEFAULT_OBSERVERS = ("result", "event", "print")
+_POOL_SIZE = 8
 _INLINE_DEPTH_LIMIT = 40
 # Firings take the oldest matching messages, as on the small-step machine.
 _MATCH_POLICY = deterministic()
+# The values `_eval` rebuilds from their evaluated subterms.
+_REBUILT = (ServiceRef, Image, TupleV, ListV, MapV)
 
 
 @dataclass
@@ -152,8 +162,7 @@ class _Tracker:
 @dataclass
 class _Instance:
     address: Address
-    template: Optional[ServerTemplate]  # None means inert
-    mailbox: Mailbox
+    entry: ServerImage
     lock: threading.Lock = field(default_factory=threading.Lock)
     scheduled: bool = False
     firing: int = 0
@@ -162,11 +171,12 @@ class _Instance:
 class Runtime:
     """RuntimeHandle: instance registry, observer channel, clock and id source."""
 
-    def __init__(self, virtual_time: bool = False, pool_size: int = 8):
+    def __init__(self, virtual_time: bool = False):
         self.virtual_time = virtual_time
         self.log = ObservationLog()
         self.dropped: list[tuple[Address, str]] = []  # appended under _fault_lock
         self.replace_log: list[tuple[Address, int]] = []
+        # Entries are never removed, so a membership test needs no lock.
         self._instances: dict[Address, _Instance] = {}
         self._reg_lock = threading.Lock()
         self._next_addr = itertools.count(0)
@@ -185,7 +195,7 @@ class Runtime:
         self._local_depth = threading.local()
         self._threads = [
             threading.Thread(target=self._worker, daemon=True, name=f"cpl-rt-{i}")
-            for i in range(pool_size)
+            for i in range(_POOL_SIZE)
         ]
         for t in self._threads:
             t.start()
@@ -238,62 +248,51 @@ class Runtime:
 
     # -- spec operations -------------------------------------------------------
 
-    def boot(self, program: Expr, observer_services: tuple[str, ...] = DEFAULT_OBSERVERS) -> "Runtime":
-        """Start executing a closed program; designated free continuation
-        names are wired to the observer endpoint first."""
-        subst = {
-            name: ExternalRef(name)
-            for name in free_vars(program)
-            if name in observer_services or name == "timer"
-        }
-        closed = substitute(program, subst) if subst else program
+    def boot(self, program: Expr) -> "Runtime":
+        """Start executing a program, closed over the engine endpoints."""
+        closed = wire_observers(program)
         self._submit(lambda: self._eval(closed))
         return self
 
     def rt_spawn(self, image: Expr, placement: Placement = Placement.REMOTE) -> Address:
-        template, mailbox = _decode_image(image, "spwn")
+        entry = spawnable(image, "spwn")
         addr = Address(next(self._next_addr), placement)
-        inst = _Instance(addr, template, mailbox)
+        inst = _Instance(addr, entry)
         with self._reg_lock:
             self._instances[addr] = inst
-        if template is not None and mailbox:
+        if isinstance(entry, Live) and entry.mailbox:
             self._schedule_pump(inst)
         return addr
 
     def rt_send(self, addr: Address, service: str, args: tuple[Expr, ...]) -> None:
         inst = self._lookup(addr)
         with inst.lock:
-            if inst.template is None:
+            entry = inst.entry
+            if not isinstance(entry, Live):
                 with self._fault_lock:
                     self.dropped.append((addr, service))
                 return
-            inst.mailbox = inst.mailbox.received(MessageValue(service, tuple(args)))
+            inst.entry = Live(entry.template, entry.mailbox.received(MessageValue(service, tuple(args))))
         self._schedule_pump(inst)
 
     def rt_snapshot(self, addr: Address) -> Expr:
         inst = self._lookup(addr)
         with inst.lock:
-            if inst.template is None:
-                return ZeroImage()
-            return Image(inst.template, inst.mailbox.ordered())
+            return image_of(inst.entry)
 
     def rt_replace(self, addr: Address, image: Expr) -> None:
         inst = self._lookup(addr)
-        template, mailbox = _decode_image(image, "repl")
+        entry = spawnable(image, "repl")
         with inst.lock:
-            inst.template = template
-            inst.mailbox = mailbox
-            self.replace_log.append((addr, len(mailbox)))
-        if template is not None:
+            inst.entry = entry
+            self.replace_log.append((addr, len(entry.mailbox) if isinstance(entry, Live) else 0))
+        if isinstance(entry, Live):
             self._schedule_pump(inst)
 
-    def await_quiescence(self, timeout_ms: int = 30_000, max_idle_timer_rounds: int = 6) -> ObservationLog:
-        """Block until no rule can fire and nothing is in transit.
-
-        In virtual-time mode the clock jumps to the next timer deadline when
-        the system is otherwise idle; rounds that cause no observations,
-        replacements or spawns count as idle and bound re-arming loops.
-        """
+    def await_quiescence(self, timeout_ms: int = 30_000) -> ObservationLog:
+        """Block until no rule can fire and nothing is in transit. Timers
+        fire by the rule at `machine.MAX_IDLE_TIMER_ROUNDS`; the clock jumps
+        to a deadline only in virtual-time mode, else the wait is real."""
         deadline = time.monotonic() + timeout_ms / 1000.0
         idle_rounds = 0
         self.timed_out = False
@@ -307,7 +306,7 @@ class Runtime:
                 timers = sorted(self._timers)
             if not timers:
                 break
-            if idle_rounds >= max_idle_timer_rounds:
+            if idle_rounds >= MAX_IDLE_TIMER_ROUNDS:
                 break
             progress_before = (len(self.log), len(self.replace_log))
             due = timers[0][0]
@@ -357,8 +356,9 @@ class Runtime:
             instances = list(self._instances.items())
         for addr, inst in sorted(instances, key=lambda kv: kv[0].id):
             with inst.lock:
-                for m in inst.mailbox.ordered():
-                    out.append((addr, m))
+                entry = inst.entry
+            if isinstance(entry, Live):
+                out.extend((addr, m) for m in entry.buffer)
         return out
 
     def apply_builtin(self, op: str, args: tuple[Expr, ...]) -> Expr:
@@ -397,11 +397,12 @@ class Runtime:
         while True:
             with inst.lock:
                 fired = None
-                if inst.template is not None:
-                    for rule in inst.template.rules:
-                        m = match_patterns(rule.patterns, inst.mailbox, _MATCH_POLICY)
+                entry = inst.entry
+                if isinstance(entry, Live):
+                    for rule in entry.template.rules:
+                        m = match_patterns(rule.patterns, entry.mailbox, _MATCH_POLICY)
                         if m is not None:
-                            inst.mailbox = m.residual
+                            inst.entry = Live(entry.template, m.residual)
                             fired = (rule, m.subst)
                             break
                 if fired is None:
@@ -431,10 +432,7 @@ class Runtime:
             args = tuple(self._eval(a) for a in e.args)
             if isinstance(callee, ExternalRef):
                 if callee.name == "timer":
-                    delay = args[0]
-                    if not (isinstance(delay, BaseLit) and type(delay.value) is int):
-                        raise MachineError("timer delay must be an Int")
-                    due = self.local_time() + delay.value
+                    due = timer_due(args[0], self.local_time())
                     with self._clock_lock:
                         heapq.heappush(self._timers, (due, next(self._timer_seq), args[1]))
                     return Par(())
@@ -444,64 +442,27 @@ class Runtime:
                 self.rt_send(callee.target.address, callee.service, args)
                 return Par(())
             raise MachineError(f"request target is not a service reference: {callee!r}")
-        if isinstance(e, ServiceRef):
-            target = self._eval(e.target)
-            return ServiceRef(target, e.service)
         if isinstance(e, Spwn):
-            img = self._eval(e.expr)
-            return Addr(self.rt_spawn(img, e.placement))
+            return Addr(self.rt_spawn(self._eval(e.expr), e.placement))
         if isinstance(e, Snap):
-            target = self._eval(e.expr)
-            if not isinstance(target, Addr):
-                raise MachineError("snap needs an address")
-            return self.rt_snapshot(target.address)
+            return self.rt_snapshot(address_of(self._eval(e.expr), "snap", self._instances))
         if isinstance(e, Repl):
             target = self._eval(e.target)
             image = self._eval(e.image)
-            if not isinstance(target, Addr):
-                raise MachineError("repl needs an address")
-            self.rt_replace(target.address, image)
+            self.rt_replace(address_of(target, "repl", self._instances), image)
             return Par(())
-        if isinstance(e, Image):
-            tmpl = self._eval(e.template)
-            buf = tuple(MessageValue(m.service, tuple(self._eval(a) for a in m.args)) for m in e.buffer)
-            if not isinstance(tmpl, ServerTemplate):
-                raise MachineError("image template must evaluate to a server template")
-            return Image(tmpl, buf)
         if isinstance(e, TypeApp):
-            inner = self._eval(e.expr)
-            if not isinstance(inner, TypeAbs):
-                raise MachineError("type application needs a type abstraction")
-            return self._eval(substitute_type_in_expr(inner.body, {inner.var: e.arg}))
+            return self._eval(instantiate(self._eval(e.expr), e.arg))
         if isinstance(e, BaseOp):
             args = tuple(self._eval(a) for a in e.operands)
             return self.apply_builtin(e.op, args)
         if isinstance(e, If):
-            c = self._eval(e.cond)
-            if isinstance(c, BaseLit) and isinstance(c.value, bool):
-                return self._eval(e.then if c.value else e.orelse)
-            raise MachineError("if condition must be a Bool")
-        if isinstance(e, (TupleV, ListV, MapV)):
-            kids = []
-            for c in children(e):
-                kids.append(self._eval(c))
-            return with_children(e, kids)
+            return self._eval(branch(self._eval(e.cond), e.then, e.orelse))
+        if isinstance(e, _REBUILT):
+            return with_children(e, [self._eval(c) for c in children(e)])
         raise MachineError(f"cannot evaluate open expression: {e!r}")
 
 
-def _decode_image(image: Expr, op: str) -> tuple[Optional[ServerTemplate], Mailbox]:
-    """(template, mailbox) of an image value; None stands for the inert image."""
-    img = _as_spawnable(image)
-    if img is None:
-        raise MachineError(f"{op} needs a server image, got {image!r}")
-    return (img.template, img.mailbox) if isinstance(img, Live) else (None, EMPTY_MAILBOX)
-
-
-def boot(
-    program: Expr,
-    virtual_time: bool = False,
-    observer_services: tuple[str, ...] = DEFAULT_OBSERVERS,
-) -> Runtime:
+def boot(program: Expr, virtual_time: bool = False) -> Runtime:
     """Start a runtime executing `program`; spec-facing convenience."""
-    rt = Runtime(virtual_time=virtual_time)
-    return rt.boot(program, observer_services)
+    return Runtime(virtual_time=virtual_time).boot(program)

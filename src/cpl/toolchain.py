@@ -12,22 +12,19 @@ from .core import (
     BaseLit,
     BaseT,
     Expr,
-    ExternalRef,
     ListV,
     Par,
     SvcT,
     Top,
     TupleV,
     TypeExpr,
-    free_vars,
     substitute,
 )
 from .desugar import desugar_program
 from .errors import CplError
+from .machine import wire_observers
 from .parser import Program, parse
 from .typecheck import LocationTyping, TypeContext, context_from, type_of
-
-OBSERVER_SERVICES = ("result", "event", "print")
 
 BASE_ENV: dict[str, TypeExpr] = {
     "result": SvcT((Top(),)),
@@ -120,15 +117,6 @@ def check_expr(core: Expr, env: dict[str, TypeExpr]) -> TypeExpr:
     ctx = context_from(env)
     sigma: LocationTyping = {}
     return type_of(ctx, sigma, core)
-
-
-def wire_observers(core: Expr, observers: tuple[str, ...] = OBSERVER_SERVICES) -> Expr:
-    names = {
-        n: ExternalRef(n)
-        for n in free_vars(core)
-        if n in observers or n == "timer"
-    }
-    return substitute(core, names) if names else core
 
 
 def run_smallstep(

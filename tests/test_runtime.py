@@ -208,6 +208,36 @@ def test_timer_delay_rejects_bool_on_both_engines():
         rt.shutdown()
 
 
+@pytest.mark.parametrize(
+    "program, message",
+    [
+        ("if 1 then result<1> else result<2>", "if condition is not a boolean"),
+        ("result<(1)[Int]>", "type application of a non-universal value"),
+        ("(spwn 3)#a<>", "spwn applied to a non-image value: 3"),
+        ("snap 3", "snap applied to a non-address value: 3"),
+        ("repl 3 zero", "repl applied to a non-address value: 3"),
+        ("result<snap @5>", "snap on unallocated address @5"),
+        ("repl @5 zero", "repl on unallocated address @5"),
+    ],
+)
+def test_stuck_forms_raise_the_same_fault_on_both_engines(program, message):
+    """Ill-typed programs, run unchecked: both engines check a redex with
+    the machine's side conditions."""
+    from cpl.errors import StuckError
+
+    loaded = tc.load_program(program, include_prelude=False)
+    with pytest.raises(StuckError) as small:
+        tc.run_smallstep(loaded.core)
+    assert str(small.value) == message
+    rt = boot(loaded.core, virtual_time=True)
+    try:
+        with pytest.raises(StuckError) as concurrent:
+            rt.await_quiescence(5_000)
+        assert str(concurrent.value) == message
+    finally:
+        rt.shutdown()
+
+
 def test_print_goes_to_observer():
     with run_cc("print<42>", prelude=False) as rt:
         assert [ (o.service, value_to_json(o.args[0])) for o in rt.log.snapshot() ] == [("print", 42)]
