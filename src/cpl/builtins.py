@@ -18,8 +18,10 @@ from dataclasses import dataclass
 from typing import Callable, NoReturn, Optional, Protocol
 
 from .core import (
+    BOOL,
+    INT,
+    STRING,
     BaseLit,
-    BaseT,
     Bot,
     DataT,
     Expr,
@@ -33,9 +35,6 @@ from .core import (
 )
 from .errors import MachineError
 
-INT = BaseT("Int")
-BOOL = BaseT("Bool")
-STRING = BaseT("String")
 PROJECTIONS = ("fst", "snd", "thrd", "frth")
 
 

@@ -111,13 +111,33 @@ class ImgT(TypeExpr):
     inner: TypeExpr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Univ(TypeExpr):
-    """Bounded universal; kernel variant (bounds compared for equality)."""
+    """Bounded universal; kernel variant (bounds compared for equality).
+
+    The only type binder, so its `==` makes `==` on every type
+    alpha-equivalence: the bodies are compared with both variables renamed
+    to one name free in neither."""
 
     var: str
     bound: TypeExpr
     body: TypeExpr
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Univ):
+            return NotImplemented
+        if self.bound != other.bound:
+            return False
+        if self.var == other.var:
+            return self.body == other.body
+        f = TypeVar(fresh_name(self.var, free_type_vars(self.body) | free_type_vars(other.body)))
+        body = substitute_type_in_type(self.body, {self.var: f})
+        return body == substitute_type_in_type(other.body, {other.var: f})
+
+    def __hash__(self) -> int:
+        return hash(self.bound)
 
 
 @dataclass(frozen=True)
@@ -887,59 +907,11 @@ def substitute_type(target: Union[Expr, TypeExpr], var: str, t: TypeExpr) -> Uni
 # ---------------------------------------------------------------------------
 
 
-def type_alpha_eq(a: TypeExpr, b: TypeExpr, env: tuple[tuple[str, str], ...] = ()) -> bool:
-    if isinstance(a, TypeVar) and isinstance(b, TypeVar):
-        for x, y in reversed(env):
-            if a.name == x or b.name == y:
-                return a.name == x and b.name == y
-        return a.name == b.name
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, (Top, UnitT, Bot, SrvBot)):
-        return True
-    if isinstance(a, BaseT):
-        return a.name == b.name  # type: ignore[union-attr]
-    if isinstance(a, SvcT):
-        assert isinstance(b, SvcT)
-        return len(a.args) == len(b.args) and all(
-            type_alpha_eq(x, y, env) for x, y in zip(a.args, b.args)
-        )
-    if isinstance(a, SrvT):
-        assert isinstance(b, SrvT)
-        if a.names != b.names:
-            return False
-        return all(type_alpha_eq(x, y, env) for (_, x), (_, y) in zip(a.services, b.services))
-    if isinstance(a, InstT):
-        return type_alpha_eq(a.inner, b.inner, env)  # type: ignore[union-attr]
-    if isinstance(a, ImgT):
-        return type_alpha_eq(a.inner, b.inner, env)  # type: ignore[union-attr]
-    if isinstance(a, Univ):
-        assert isinstance(b, Univ)
-        return type_alpha_eq(a.bound, b.bound, env) and type_alpha_eq(
-            a.body, b.body, env + ((a.var, b.var),)
-        )
-    if isinstance(a, DataT):
-        assert isinstance(b, DataT)
-        return (
-            a.ctor == b.ctor
-            and len(a.args) == len(b.args)
-            and all(type_alpha_eq(x, y, env) for x, y in zip(a.args, b.args))
-        )
-    if isinstance(a, AliasT):
-        assert isinstance(b, AliasT)
-        return a.name == b.name and all(
-            type_alpha_eq(x, y, env) for x, y in zip(a.args, b.args)
-        )
-    return False
+def alpha_eq(a: Expr, b: Expr, env: tuple[tuple[str, str], ...] = ()) -> bool:
+    """Structural equality modulo bound names (rule parameters and type binders).
 
-
-def alpha_eq(
-    a: Expr,
-    b: Expr,
-    env: tuple[tuple[str, str], ...] = (),
-    tenv: tuple[tuple[str, str], ...] = (),
-) -> bool:
-    """Structural equality modulo bound names (rule parameters and type binders)."""
+    A node with subterms is rebuilt around b's subterms, so `==` compares only
+    its other fields (`loc` takes no part), and the subterms pairwise."""
     if isinstance(a, Var) and isinstance(b, Var):
         for x, y in reversed(env):
             if a.name == x or b.name == y:
@@ -947,106 +919,33 @@ def alpha_eq(
         return a.name == b.name
     if type(a) is not type(b):
         return False
-    if isinstance(a, This):
-        return True
     if isinstance(a, ServerTemplate):
         assert isinstance(b, ServerTemplate)
         if a.transparent_this != b.transparent_this or len(a.rules) != len(b.rules):
             return False
         for ra, rb in zip(a.rules, b.rules):
-            if len(ra.patterns) != len(rb.patterns):
+            services = [(p.service, tuple(t for _, t in p.params)) for p in ra.patterns]
+            if services != [(p.service, tuple(t for _, t in p.params)) for p in rb.patterns]:
                 return False
-            ext = env
-            for pa, pb in zip(ra.patterns, rb.patterns):
-                if pa.service != pb.service or len(pa.params) != len(pb.params):
-                    return False
-                for (na, ta), (nb, tb) in zip(pa.params, pb.params):
-                    if not type_alpha_eq(ta, tb, tenv):
-                        return False
-                    ext = ext + ((na, nb),)
-            if not alpha_eq(ra.body, rb.body, ext, tenv):
+            if not alpha_eq(ra.body, rb.body, env + tuple(zip(ra.bound_names, rb.bound_names))):
                 return False
-        return True
-    if isinstance(a, Spwn):
-        assert isinstance(b, Spwn)
-        return a.placement == b.placement and alpha_eq(a.expr, b.expr, env, tenv)
-    if isinstance(a, ServiceRef):
-        assert isinstance(b, ServiceRef)
-        return a.service == b.service and alpha_eq(a.target, b.target, env, tenv)
-    if isinstance(a, Request):
-        assert isinstance(b, Request)
-        return (
-            len(a.args) == len(b.args)
-            and alpha_eq(a.callee, b.callee, env, tenv)
-            and all(alpha_eq(x, y, env, tenv) for x, y in zip(a.args, b.args))
-        )
-    if isinstance(a, Par):
-        assert isinstance(b, Par)
-        return len(a.exprs) == len(b.exprs) and all(
-            alpha_eq(x, y, env, tenv) for x, y in zip(a.exprs, b.exprs)
-        )
-    if isinstance(a, Snap):
-        return alpha_eq(a.expr, b.expr, env, tenv)  # type: ignore[union-attr]
-    if isinstance(a, Repl):
-        assert isinstance(b, Repl)
-        return alpha_eq(a.target, b.target, env, tenv) and alpha_eq(a.image, b.image, env, tenv)
-    if isinstance(a, Addr):
-        return a.address == b.address  # type: ignore[union-attr]
-    if isinstance(a, Image):
-        assert isinstance(b, Image)
-        if len(a.buffer) != len(b.buffer) or not alpha_eq(a.template, b.template, env, tenv):
-            return False
-        for ma, mb in zip(a.buffer, b.buffer):
-            if ma.service != mb.service or len(ma.args) != len(mb.args):
-                return False
-            if not all(alpha_eq(x, y, env, tenv) for x, y in zip(ma.args, mb.args)):
-                return False
-        return True
-    if isinstance(a, ZeroImage):
         return True
     if isinstance(a, TypeAbs):
         assert isinstance(b, TypeAbs)
-        return type_alpha_eq(a.bound, b.bound, tenv) and alpha_eq(
-            a.body, b.body, env, tenv + ((a.var, b.var),)
-        )
-    if isinstance(a, TypeApp):
-        assert isinstance(b, TypeApp)
-        return type_alpha_eq(a.arg, b.arg, tenv) and alpha_eq(a.expr, b.expr, env, tenv)
-    if isinstance(a, BaseOp):
-        assert isinstance(b, BaseOp)
-        return (
-            a.op == b.op
-            and len(a.operands) == len(b.operands)
-            and all(alpha_eq(x, y, env, tenv) for x, y in zip(a.operands, b.operands))
+        if a.bound != b.bound:
+            return False
+        if a.var == b.var:
+            return alpha_eq(a.body, b.body, env)
+        f = TypeVar(fresh_name(a.var, expr_type_vars(a.body) | expr_type_vars(b.body)))
+        return alpha_eq(
+            substitute_type_in_expr(a.body, {a.var: f}), substitute_type_in_expr(b.body, {b.var: f}), env
         )
     if isinstance(a, BaseLit):
-        assert isinstance(b, BaseLit)
-        return type(a.value) is type(b.value) and a.value == b.value
-    if isinstance(a, If):
-        assert isinstance(b, If)
-        return (
-            alpha_eq(a.cond, b.cond, env, tenv)
-            and alpha_eq(a.then, b.then, env, tenv)
-            and alpha_eq(a.orelse, b.orelse, env, tenv)
-        )
-    if isinstance(a, TupleV):
-        assert isinstance(b, TupleV)
-        return len(a.items) == len(b.items) and all(
-            alpha_eq(x, y, env, tenv) for x, y in zip(a.items, b.items)
-        )
-    if isinstance(a, ListV):
-        assert isinstance(b, ListV)
-        return len(a.items) == len(b.items) and all(
-            alpha_eq(x, y, env, tenv) for x, y in zip(a.items, b.items)
-        )
-    if isinstance(a, MapV):
-        assert isinstance(b, MapV)
-        if len(a.entries) != len(b.entries):
-            return False
-        return all(
-            alpha_eq(ka, kb, env, tenv) and alpha_eq(va, vb, env, tenv)
-            for (ka, va), (kb, vb) in zip(a.entries, b.entries)
-        )
-    if isinstance(a, ExternalRef):
-        return a.name == b.name  # type: ignore[union-attr]
-    return False
+        return type(a.value) is type(b.value) and a == b  # 1 == True in Python
+    shape = shape_of(a)
+    ka, kb = shape.children(a), shape.children(b)
+    return (
+        len(ka) == len(kb)
+        and shape.rebuild(a, kb) == b
+        and all(alpha_eq(x, y, env) for x, y in zip(ka, kb))
+    )

@@ -14,13 +14,12 @@ from typing import Mapping, Optional, Sequence
 
 from .builtins import OPS, PROJECTIONS
 from .core import (
+    BOT,
     THIS,
+    UNIT,
     AliasT,
     BaseLit,
     BaseOp,
-    BaseT,
-    Bot,
-    Top,
     DataT,
     Expr,
     ExternalRef,
@@ -47,7 +46,6 @@ from .core import (
     TypeAbs,
     TypeApp,
     TypeExpr,
-    UnitT,
     Univ,
     Var,
     ZeroImage,
@@ -59,7 +57,7 @@ from .core import (
 )
 from .errors import DesugarError, Loc
 from .parser import Program, SApply, SLambda, SLet, SLetK, SThunk
-from .typecheck import TypeCheckError, TypeContext, join, promote
+from .typecheck import TypeCheckError, TypeContext, join, promote, type_of
 
 TypeEnv = Mapping[str, TypeExpr]
 
@@ -168,23 +166,12 @@ class Desugarer:
         This is annotation propagation only (literals, annotated binders,
         templates, spawns); it never invents an annotation.
         """
-        if isinstance(e, BaseLit):
-            v = e.value
-            if isinstance(v, bool):
-                return BaseT("Bool")
-            if isinstance(v, int):
-                return BaseT("Int")
-            if isinstance(v, float):
-                return BaseT("Float")
-            return BaseT("String")
+        if isinstance(e, (BaseLit, ExternalRef, ZeroImage)):
+            return type_of(TypeContext(), {}, e)
         if isinstance(e, Var):
             return env.get(e.name)
         if isinstance(e, This):
             return env.get(THIS)
-        if isinstance(e, ExternalRef):
-            if e.name == "timer":
-                return SvcT((BaseT("Int"), SvcT(())))
-            return SvcT((Top(),))
         if isinstance(e, ServerTemplate):
             return self.template_type(e)
         if isinstance(e, SLambda):
@@ -210,8 +197,6 @@ class Desugarer:
         if isinstance(e, Image):
             t = self.synth(e.template, env)
             return ImgT(t) if isinstance(t, (SrvT, SrvBot)) else None
-        if isinstance(e, ZeroImage):
-            return ImgT(SrvBot())
         if isinstance(e, Snap):
             t = self.synth(e.expr, env)
             return ImgT(t.inner) if isinstance(t, InstT) else None
@@ -221,7 +206,7 @@ class Desugarer:
                 return t.inner.get(e.service)
             return None
         if isinstance(e, (Request, Par, Repl)):
-            return UnitT()
+            return UNIT
         if isinstance(e, SApply):
             t = self.synth(e.fn, env)
             if isinstance(t, InstT) and isinstance(t.inner, SrvT):
@@ -283,7 +268,7 @@ class Desugarer:
                 t = u if t is None else join(_bounds(env), t, u, None, "")
             except TypeCheckError:
                 return None
-        return Bot() if t is None else t
+        return BOT if t is None else t
 
     def template_type(self, t: ServerTemplate) -> SrvT:
         entries: dict[str, SvcT] = {}

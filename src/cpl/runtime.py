@@ -265,15 +265,20 @@ class Runtime:
         return addr
 
     def rt_send(self, addr: Address, service: str, args: tuple[Expr, ...]) -> None:
-        inst = self._lookup(addr)
-        with inst.lock:
-            entry = inst.entry
-            if not isinstance(entry, Live):
-                with self._fault_lock:
-                    self.dropped.append((addr, service))
+        """Buffer a message; a send to an inert or unallocated address is
+        dropped (the machine leaves it undelivered)."""
+        inst = self._instances.get(addr)
+        if inst is not None:
+            with inst.lock:
+                entry = inst.entry
+                live = isinstance(entry, Live)
+                if live:
+                    inst.entry = Live(entry.template, entry.mailbox.received(MessageValue(service, tuple(args))))
+            if live:
+                self._schedule_pump(inst)
                 return
-            inst.entry = Live(entry.template, entry.mailbox.received(MessageValue(service, tuple(args))))
-        self._schedule_pump(inst)
+        with self._fault_lock:
+            self.dropped.append((addr, service))
 
     def rt_snapshot(self, addr: Address) -> Expr:
         inst = self._lookup(addr)

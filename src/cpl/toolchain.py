@@ -8,18 +8,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import machine, runtime
-from .core import (
-    BaseLit,
-    BaseT,
-    Expr,
-    ListV,
-    Par,
-    SvcT,
-    Top,
-    TupleV,
-    TypeExpr,
-    substitute,
-)
+from .core import BaseLit, Expr, ExternalRef, ListV, Par, TupleV, TypeExpr, substitute
 from .desugar import desugar_program
 from .errors import CplError
 from .machine import wire_observers
@@ -27,10 +16,7 @@ from .parser import Program, parse
 from .typecheck import LocationTyping, TypeContext, context_from, type_of
 
 BASE_ENV: dict[str, TypeExpr] = {
-    "result": SvcT((Top(),)),
-    "event": SvcT((Top(),)),
-    "print": SvcT((Top(),)),
-    "timer": SvcT((BaseT("Int"), SvcT(()))),
+    name: type_of(TypeContext(), {}, ExternalRef(name)) for name in (*machine.OBSERVERS, "timer")
 }
 
 STDLIB_FILES = (
@@ -100,16 +86,11 @@ def load_program(
         merged = Program(merged.aliases, merged.defs, Par(()))
     env = dict(BASE_ENV)
     if input_value is not None:
-        env["input"] = _synth_value_type(input_value)
+        env["input"] = check_expr(input_value, {})
     core = desugar_program(merged, env)
     if input_value is not None:
         core = substitute(core, {"input": input_value})
     return Loaded(core, env)
-
-
-def _synth_value_type(v: Expr) -> TypeExpr:
-    ctx = TypeContext()
-    return type_of(ctx, {}, v)
 
 
 def check_expr(core: Expr, env: dict[str, TypeExpr]) -> TypeExpr:

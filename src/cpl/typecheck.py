@@ -11,14 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .builtins import BOOL, INT, OPS
+from .builtins import OPS
 from .core import (
+    BOOL,
+    BOT,
+    FLOAT,
+    INT,
+    SRV_BOT,
+    STRING,
     THIS,
+    TOP,
+    UNIT,
     Addr,
     Address,
     BaseLit,
     BaseOp,
-    BaseT,
     Bot,
     DataT,
     Expr,
@@ -47,7 +54,6 @@ from .core import (
     TypeApp,
     TypeExpr,
     TypeVar,
-    UnitT,
     Univ,
     Var,
     ZeroImage,
@@ -55,13 +61,9 @@ from .core import (
     fresh_name,
     image_of,
     substitute_type_in_type,
-    type_alpha_eq,
 )
 from .errors import CplError, Loc
 from .pretty import pretty_type
-
-UNIT = UnitT()
-TOP = Top()
 
 
 class TypeCheckError(CplError):
@@ -139,7 +141,7 @@ def subtype(ctx: TypeContext, t: TypeExpr, u: TypeExpr) -> bool:
         return True
     if isinstance(t, Bot):
         return True
-    if type_alpha_eq(t, u):
+    if t == u:
         return True
     if isinstance(t, TypeVar):
         bound = ctx.lookup_tvar(t.name)
@@ -161,7 +163,7 @@ def subtype(ctx: TypeContext, t: TypeExpr, u: TypeExpr) -> bool:
     if isinstance(t, ImgT) and isinstance(u, ImgT):
         return subtype(ctx, t.inner, u.inner)
     if isinstance(t, Univ) and isinstance(u, Univ):
-        if not type_alpha_eq(t.bound, u.bound):
+        if t.bound != u.bound:
             return False
         f = fresh_name("a", ctx.tvar_names() | free_type_vars(t.body) | free_type_vars(u.body))
         ext = ctx.extend_tvar(f, t.bound)
@@ -222,8 +224,8 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
         if isinstance(v, int):
             return INT
         if isinstance(v, float):
-            return BaseT("Float")
-        return BaseT("String")
+            return FLOAT
+        return STRING
     if isinstance(e, ExternalRef):
         if e.name == "timer":
             return SvcT((INT, SvcT(())))
@@ -240,7 +242,7 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
     if isinstance(e, ServerTemplate):
         return _type_of_template(ctx, sigma, e)
     if isinstance(e, ZeroImage):
-        return ImgT(SrvBot())
+        return ImgT(SRV_BOT)
     if isinstance(e, Image):
         return _type_of_image(ctx, sigma, e)
     if isinstance(e, Snap):
@@ -338,14 +340,14 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
         return DataT("Tuple", tuple(type_of(ctx, sigma, x) for x in e.items))
     if isinstance(e, ListV):
         if not e.items:
-            return DataT("List", (Bot(),))
+            return DataT("List", (BOT,))
         elem: TypeExpr = type_of(ctx, sigma, e.items[0])
         for x in e.items[1:]:
             elem = join(ctx, elem, type_of(ctx, sigma, x), loc, "list literal")
         return DataT("List", (elem,))
     if isinstance(e, MapV):
         if not e.entries:
-            return DataT("Map", (Bot(), Bot()))
+            return DataT("Map", (BOT, BOT))
         kt: TypeExpr = type_of(ctx, sigma, e.entries[0][0])
         vt: TypeExpr = type_of(ctx, sigma, e.entries[0][1])
         for k, v in e.entries[1:]:
@@ -380,7 +382,7 @@ def _type_of_template(ctx: TypeContext, sigma: LocationTyping, e: ServerTemplate
             prev = entries.get(p.service)
             if prev is None:
                 entries[p.service] = svc
-            elif not type_alpha_eq(prev, svc):
+            elif prev != svc:
                 raise TypeCheckError(
                     "InconsistentServiceType",
                     f"service {p.service!r} declared at different types",
@@ -496,7 +498,7 @@ def server_type_union(t: SrvT, u: SrvT) -> SrvT:
         prev = merged.get(name)
         if prev is None:
             merged[name] = svc
-        elif not type_alpha_eq(prev, svc):
+        elif prev != svc:
             raise TypeCheckError(
                 "InconsistentServiceType",
                 f"service {name!r} has conflicting annotations in union",

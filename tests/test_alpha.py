@@ -29,6 +29,7 @@ from cpl.core import (
     TypeAbs,
     TypeApp,
     TypeVar,
+    Univ,
     Var,
     alpha_eq,
     children,
@@ -149,3 +150,17 @@ ALPHA_CASES = {
 def test_alpha_eq_cases(a, b, equal):
     assert alpha_eq(a, b) is equal
     assert alpha_eq(b, a) is equal
+
+
+def _univ(var, *args):
+    return Univ(var, TOP, SvcT(tuple(TypeVar(a) for a in args)))
+
+
+def test_universals_equal_up_to_their_binder():
+    a, b = _univ("a", "a"), _univ("b", "b")
+    assert a == b and hash(a) == hash(b)
+    assert _univ("a", "a", "b") != _univ("b", "b", "b")  # b would be captured
+    assert _univ("a", "a", "c") == _univ("b", "b", "c") != _univ("b", "b", "d")
+    assert Univ("a", INT, SvcT((TypeVar("a"),))) != Univ("b", TOP, SvcT((TypeVar("b"),)))
+    assert _tpl("x", "x", SvcT((a,))) == _tpl("x", "x", SvcT((b,)))
+    assert len({_tpl("x", "x", a), _tpl("x", "x", b)}) == 1

@@ -238,6 +238,21 @@ def test_stuck_forms_raise_the_same_fault_on_both_engines(program, message):
         rt.shutdown()
 
 
+def test_send_to_an_unallocated_address_is_left_undelivered_on_both_engines():
+    """The machine leaves `@5#a<1>` waiting and ends quiescent; the runtime
+    records it as dropped, as it does a send to an inert instance."""
+    loaded = tc.load_program("@5#a<1>", include_prelude=False)
+    result = tc.run_smallstep(loaded.core)
+    assert result.status == "quiescent" and not result.observations
+    rt = boot(loaded.core, virtual_time=True)
+    try:
+        rt.await_quiescence(5_000)
+        assert rt.dropped == [(Address(5), "a")]
+        assert len(rt.log) == 0
+    finally:
+        rt.shutdown()
+
+
 def test_print_goes_to_observer():
     with run_cc("print<42>", prelude=False) as rt:
         assert [ (o.service, value_to_json(o.args[0])) for o in rt.log.snapshot() ] == [("print", 42)]
