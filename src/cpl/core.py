@@ -421,7 +421,9 @@ class Mailbox:
     takes depend only on the queue lengths and heads: both read O(patterns)
     messages whatever the depth. `ordered()` is the arrival-ordered view.
     A mailbox is immutable; each operation returns a new one that shares
-    the untouched queues.
+    the untouched queues, but `received` (`queue + (msg,)`) and `take`
+    (`queue[n:]`) copy every queue they touch, so each costs O(depth) of
+    that queue.
     """
 
     __slots__ = ("_queues", "_arrivals", "_ordered")

@@ -9,6 +9,13 @@ linearized by that instance's lock. The rules themselves are the small-step
 machine's: an instance holds one of its table entries (`Live` or `Inert`),
 and every side condition is a `machine` helper, so a stuck redex raises the
 same `StuckError` on both engines.
+
+A firing evaluates the rule body in one walk under its bindings (the
+matched parameters and `this`) instead of substituting them into a copy of
+the body first, as the machine's React rule does. The results are the same:
+a value that still has free variables, such as a template that captures a
+parameter, is closed by substitution only when it escapes the firing (sent,
+spawned, observed, installed or returned to an enclosing operation).
 """
 
 from __future__ import annotations
@@ -44,10 +51,13 @@ from .core import (
     ServiceRef,
     Snap,
     Spwn,
+    This,
     TupleV,
     TypeApp,
+    Var,
     ZeroImage,
     children,
+    free_vars,
     image_of,
     is_value,
     substitute,
@@ -251,7 +261,7 @@ class Runtime:
     def boot(self, program: Expr) -> "Runtime":
         """Start executing a program, closed over the engine endpoints."""
         closed = wire_observers(program)
-        self._submit(lambda: self._eval(closed))
+        self._submit(lambda: self._eval(closed, {}))
         return self
 
     def rt_spawn(self, image: Expr, placement: Placement = Placement.REMOTE) -> Address:
@@ -349,7 +359,7 @@ class Runtime:
             ready = [t for t in self._timers if t[0] <= now]
             self._timers = [t for t in self._timers if t[0] > now]
         for _, _, k in sorted(ready):
-            self._submit(lambda k=k: self._eval(Request(k, ())))
+            self._submit(lambda k=k: self._eval(Request(k, ()), {}))
 
     def _raise_pending_error(self) -> None:
         if self._errors:  # only ever appended to, so the check stays true
@@ -417,24 +427,30 @@ class Runtime:
                 assert inst.firing == 1, "overlapping firings on one instance"
             rule, bindings = fired
             try:
-                subst = dict(bindings)
-                subst[THIS] = Addr(inst.address)
-                self._eval(substitute(rule.body, subst))
+                env = dict(bindings)
+                env[THIS] = Addr(inst.address)
+                self._eval(rule.body, env)
             finally:
                 with inst.lock:
                     inst.firing -= 1
 
-    def _eval(self, e: Expr) -> Expr:
-        """Big-step evaluation; requests are dispatched, values returned."""
+    def _eval(self, e: Expr, env: dict[str, Expr]) -> Expr:
+        """Big-step evaluation of e under env, the bindings of the running
+        firing; requests are dispatched, values returned. A value with free
+        variables is closed by substituting env into it."""
+        if isinstance(e, Var) and e.name in env:
+            return env[e.name]
+        if isinstance(e, This) and THIS in env:
+            return env[THIS]
         if is_value(e):
-            return e
+            return substitute(e, env) if free_vars(e) else e
         if isinstance(e, Par):
             for x in e.exprs:
-                self._eval(x)
+                self._eval(x, env)
             return Par(())
         if isinstance(e, Request):
-            callee = self._eval(e.callee)
-            args = tuple(self._eval(a) for a in e.args)
+            callee = self._eval(e.callee, env)
+            args = tuple(self._eval(a, env) for a in e.args)
             if isinstance(callee, ExternalRef):
                 if callee.name == "timer":
                     due = timer_due(args[0], self.local_time())
@@ -448,23 +464,24 @@ class Runtime:
                 return Par(())
             raise MachineError(f"request target is not a service reference: {callee!r}")
         if isinstance(e, Spwn):
-            return Addr(self.rt_spawn(self._eval(e.expr), e.placement))
+            return Addr(self.rt_spawn(self._eval(e.expr, env), e.placement))
         if isinstance(e, Snap):
-            return self.rt_snapshot(address_of(self._eval(e.expr), "snap", self._instances))
+            return self.rt_snapshot(address_of(self._eval(e.expr, env), "snap", self._instances))
         if isinstance(e, Repl):
-            target = self._eval(e.target)
-            image = self._eval(e.image)
+            target = self._eval(e.target, env)
+            image = self._eval(e.image, env)
             self.rt_replace(address_of(target, "repl", self._instances), image)
             return Par(())
         if isinstance(e, TypeApp):
-            return self._eval(instantiate(self._eval(e.expr), e.arg))
+            # The instantiated body of a closed abstraction is closed.
+            return self._eval(instantiate(self._eval(e.expr, env), e.arg), {})
         if isinstance(e, BaseOp):
-            args = tuple(self._eval(a) for a in e.operands)
+            args = tuple(self._eval(a, env) for a in e.operands)
             return self.apply_builtin(e.op, args)
         if isinstance(e, If):
-            return self._eval(branch(self._eval(e.cond), e.then, e.orelse))
+            return self._eval(branch(self._eval(e.cond, env), e.then, e.orelse), env)
         if isinstance(e, _REBUILT):
-            return with_children(e, [self._eval(c) for c in children(e)])
+            return with_children(e, [self._eval(c, env) for c in children(e)])
         raise MachineError(f"cannot evaluate open expression: {e!r}")
 
 

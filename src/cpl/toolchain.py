@@ -118,7 +118,11 @@ def run_concurrent(
     timeout_ms: int = 30_000,
 ) -> runtime.Runtime:
     rt = runtime.boot(core, virtual_time=virtual_time)
-    rt.await_quiescence(timeout_ms)
+    try:
+        rt.await_quiescence(timeout_ms)
+    except BaseException:
+        rt.shutdown()  # the caller gets no handle to stop the pool with
+        raise
     return rt
 
 

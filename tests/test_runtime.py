@@ -4,23 +4,36 @@ placement, virtual time, observation logging."""
 import json
 import threading
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import cpl.runtime as runtime
 import cpl.toolchain as tc
 from cpl.core import (
     Addr,
     Address,
     BaseLit,
     Image,
+    MessageValue,
     Par,
     Placement,
+    ReactionRule,
+    Request,
     ServerTemplate,
+    ServiceRef,
+    Snap,
+    Spwn,
+    Var,
     ZeroImage,
 )
+from cpl.errors import MachineError
 from cpl.parser import parse_expr
 from cpl.runtime import Runtime, boot, value_to_json
 from conftest import cc_obs, run_cc
+
+HOT_INSTANCE = Path(__file__).resolve().parent.parent / "perfbench" / "programs" / "hot_instance.cpl"
 
 COUNTER = parse_expr(
     "srv { poke<> & st<n: Int> :> this#st<n + 1>"
@@ -288,6 +301,135 @@ def test_engine_agreement_factorial():
     cc_vals = sorted(value_to_json(o.args[0]) for o in rt.log.snapshot())
     rt.shutdown()
     assert ss_vals == cc_vals == [6]
+
+
+# Rule bodies whose values capture a rule parameter or `this`. The runtime
+# evaluates a body under its bindings and closes such a value only when it
+# escapes; the machine substitutes into the whole body first.
+CAPTURING_BODIES = {
+    "transparent template spawned": """(spwn srv {
+      go<x: Int> :> (spwn srv* { a<> :> (result<x> || this#seen<x + 100>) })#a<>
+      seen<y: Int> :> result<y>
+    })#go<7>""",
+    "opaque template spawned": """(spwn srv {
+      go<x: Int> :> (spwn srv { a<k: <Int>> :> (k<x> || this#b<x + 1>)  b<y: Int> :> result<y> })#a<this#seen>
+      seen<y: Int> :> result<y + 100>
+    })#go<7>""",
+    "template sent in a message": """(spwn srv {
+      go<x: Int> :> this#run<srv* { a<> :> (result<x * 2> || this#seen<x>) }>
+      run<t: srv { a: <> }> :> (spwn t)#a<>
+      seen<y: Int> :> result<y>
+    })#go<5>""",
+    "type abstraction instantiated later": """(spwn srv {
+      go<x: Int> :> this#later</\\a. spwn srv { id<y: a> :> result<x> }>
+      later<f: forall a. inst srv { id: <a> }> :> (f[Int])#id<1>
+    })#go<9>""",
+    "snap of an image whose buffer captures": """(spwn srv {
+      go<x: Int> :> let w: inst srv { a: <srv { g: <<Int>> }>, b: <> } =
+          spwn img(srv { a<t: srv { g: <<Int>> }> & b<> :> (spwn t)#g<result> }, [a<srv { g<k: <Int>> :> k<x> }>])
+        in (spwn (snap w))#b<>
+    })#go<3>""",
+    "repl with an image whose buffer captures": """(spwn srv {
+      go<x: Int> :> let w: inst srv { a: <srv { g: <<Int>> }>, b: <> } =
+          spwn srv { a<t: srv { g: <<Int>> }> & b<> :> par }
+        in let u: Unit = repl w img(srv { a<t: srv { g: <<Int>> }> & b<> :> (spwn t)#g<result> }, [a<srv { g<k: <Int>> :> k<x + 1> }>])
+        in w#b<>
+    })#go<3>""",
+    "nested templates rebind the parameter": """(spwn srv {
+      go<x: Int> :> ((spwn srv { go<x: Int> :> result<x> })#go<x + 10>
+        || (spwn srv* { h<x: Int> :> this#seen<x> })#h<x + 20>
+        || result<x>)
+      seen<y: Int> :> result<y>
+    })#go<1>""",
+}
+
+
+def _image_buffer_holds_parameter():
+    """`go<x: Int> :> ((spwn i)#b<> || (spwn (snap (spwn i)))#b<>)` with
+    `i = img(srv { a<v: Int> & b<> :> result<v> }, [a<x>])`, built as core:
+    the parser takes only values in a buffer."""
+    go = parse_expr("srv { go<x: Int> :> par }").rules[0]
+    image = Image(parse_expr("srv { a<v: Int> & b<> :> result<v> }"), (MessageValue("a", (Var("x"),)),))
+    body = Par((
+        Request(ServiceRef(Spwn(image), "b"), ()),
+        Request(ServiceRef(Spwn(Snap(Spwn(image))), "b"), ()),
+    ))
+    template = ServerTemplate((ReactionRule(go.patterns, body),))
+    return Request(ServiceRef(Spwn(template), "go"), (BaseLit(3),))
+
+
+def _observations_on_both_engines(core):
+    def key(service, args):
+        return json.dumps([service, [value_to_json(a) for a in args]])
+
+    ss = tc.run_smallstep(core)
+    rt = tc.run_concurrent(core, virtual_time=True, timeout_ms=10_000)
+    try:
+        cc = [key(o.service, o.args) for o in rt.log.snapshot()]
+    finally:
+        rt.shutdown()
+    return Counter(key(s, a) for _, s, a in ss.observations), Counter(cc)
+
+
+@pytest.mark.parametrize("program", list(CAPTURING_BODIES.values()), ids=list(CAPTURING_BODIES))
+def test_captured_bindings_agree_with_the_machine(program):
+    loaded = tc.load_program(program, include_prelude=False)
+    tc.check_expr(loaded.core, loaded.env)
+    small, concurrent = _observations_on_both_engines(loaded.core)
+    assert small and concurrent == small
+
+
+def test_image_buffer_holding_a_parameter_agrees_with_the_machine():
+    core = _image_buffer_holds_parameter()
+    tc.check_expr(core, dict(tc.BASE_ENV))
+    small, concurrent = _observations_on_both_engines(core)
+    assert concurrent == small == Counter({'["result", [3]]': 2})
+
+
+def test_unbound_variable_is_an_open_expression():
+    loaded = tc.load_program("(spwn srv { a<> :> result<y> })#a<>", include_prelude=False)
+    rt = boot(loaded.core, virtual_time=True)
+    try:
+        with pytest.raises(MachineError, match="cannot evaluate open expression: Var\\(name='y'"):
+            rt.await_quiescence(5_000)
+    finally:
+        rt.shutdown()
+
+
+def test_cli_run_of_an_open_program_exits_four(tmp_path, capsys, monkeypatch):
+    """Only an unchecked program reaches the runtime open; the pool of the
+    failed run stops."""
+    from cpl.cli import main
+
+    monkeypatch.setattr(tc, "check_expr", lambda core, env: None)
+    f = tmp_path / "open.cpl"
+    f.write_text("(spwn srv { a<> :> result<y> })#a<>")
+    before = set(threading.enumerate())
+    assert main(["run", str(f), "--no-prelude", "--engine=concurrent", "--virtual-time"]) == 4
+    assert "cannot evaluate open expression" in capsys.readouterr().err
+    pool = [t for t in threading.enumerate() if t.name.startswith("cpl-rt-") and t not in before]
+    for t in pool:
+        t.join(5.0)
+    assert not any(t.is_alive() for t in pool)
+
+
+def test_firings_substitute_nothing_into_rule_bodies(monkeypatch):
+    """A firing evaluates its body under its bindings: on the hot-instance
+    burst the number of substitutions does not grow with the burst."""
+    calls = []
+    real = runtime.substitute
+    monkeypatch.setattr(runtime, "substitute", lambda e, s: calls.append(e) or real(e, s))
+    counts = {}
+    for n in (20, 80):
+        calls.clear()
+        loaded = tc.load_program(HOT_INSTANCE.read_text(), include_prelude=False, input_value=BaseLit(n))
+        rt = tc.run_concurrent(loaded.core, virtual_time=True, timeout_ms=10_000)
+        try:
+            assert cc_obs(rt) == [n * (n + 1) // 2]
+        finally:
+            rt.shutdown()
+        counts[n] = len(calls)
+    assert counts[20] == counts[80]
 
 
 def test_apply_builtin_catalogue():
