@@ -53,6 +53,19 @@ GOLDENS = {
         "f<1, (spwn (srv { k<p%1: (Int, Bool)> :> (spwn (srv { let<a: Int> :> "
         "(spwn (srv { let<b: Bool> :> k<a> }))#let<snd(p%1)> }))#let<fst(p%1)> }))#k>"
     ),
+    # Source names shaped like fresh ones are neither captured nor reused.
+    "\\(k%1: Int) -> Int. k%1": "spwn (srv { app<k%1: Int, k%2: <Int>> :> k%2<k%1> })",
+    "def F = \\(vf%1: Int) -> Int. vf%1; let v%1: Int = 1 in k<F(v%1), v%1>": (
+        "(spwn (srv { let<F: inst srv { app: <Int, <Int>> }> :> (spwn (srv { let<v%1: Int> :> "
+        "(spwn (srv { k1<vf%2: inst srv { app: <Int, <Int>> }> :> (spwn (srv { k2<v%3: Int> :> "
+        "vf%2#app<v%3, (spwn (srv { k<v%2: Int> :> k<v%2, v%1> }))#k> }))#k2<v%1> }))#k1<F> }))#let<1> }))"
+        "#let<spwn (srv { app<vf%1: Int, k%1: <Int>> :> k%1<vf%1> })>"
+    ),
+    "letk (a: Int, p%1: Bool) = f<1> in k<p%1>": (
+        "f<1, (spwn (srv { k<p%2: (Int, Bool)> :> (spwn (srv { let<a: Int> :> "
+        "(spwn (srv { let<p%1: Bool> :> k<p%1> }))#let<snd(p%2)> }))#let<fst(p%2)> }))#k>"
+    ),
+    "thunk[Int] g<k%1, k>": "srv { force<k%2: <Int>> :> g<k%1, k, k%2> }",
 }
 
 
@@ -254,6 +267,16 @@ class TestEdges:
 
         with pytest.raises(DesugarError):
             tc.load_program("(spwn srv { x<v: Missing> :> par })#x<1>", include_prelude=False)
+
+    @pytest.mark.parametrize("aliases", ["type A = B; type B = A;", "type A = Missing;", "type A[x] = A;"])
+    def test_bad_alias_rejected_only_where_used(self, aliases):
+        import cpl.toolchain as tc
+
+        tc.load_program(aliases + " type C[x] = x; (spwn srv { x<v: C[Int]> :> par })#x<1>", include_prelude=False)
+        for use in ("A", "A[Int]", "C[A]"):
+            with pytest.raises(DesugarError):
+                tc.load_program(aliases + f" type C[x] = x; (spwn srv {{ x<v: {use}> :> par }})#x<1>",
+                                include_prelude=False)
 
     def test_letk_four_binders(self):
         src = """
