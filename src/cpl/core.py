@@ -550,12 +550,13 @@ def image_of(entry: ServerImage) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Subterms
+# Subterms and subtypes
 # ---------------------------------------------------------------------------
 
 
 class Shape(NamedTuple):
-    """How the nodes of one term class hold their immediate subterms.
+    """How the nodes of one term class hold their immediate subterms, or the
+    nodes of one type class their immediate subtypes.
 
     `children` lists them left to right. `rebuild` makes the node again from
     new subterms, keeping every other field and `loc`. The first `evals` of
@@ -606,6 +607,36 @@ SHAPES: dict[type, Shape] = {
         lambda e, k: MapV(tuple(zip(k[::2], k[1::2])), loc=e.loc),
     ),
 }
+
+
+# The type classes with subtypes; the others are leaves. A `Univ`'s body sits
+# under its binder, so the walks that track binders treat `Univ` explicitly.
+TYPE_SHAPES: dict[type, Shape] = {
+    SvcT: Shape(lambda t: t.args, lambda t, k: SvcT(tuple(k))),
+    SrvT: Shape(
+        lambda t: tuple(s for _, s in t.services),
+        lambda t, k: SrvT(tuple((n, s) for (n, _), s in zip(t.services, k))),
+    ),
+    InstT: Shape(lambda t: (t.inner,), lambda t, k: InstT(k[0])),
+    ImgT: Shape(lambda t: (t.inner,), lambda t, k: ImgT(k[0])),
+    Univ: Shape(lambda t: (t.bound, t.body), lambda t, k: Univ(t.var, k[0], k[1])),
+    DataT: Shape(lambda t: t.args, lambda t, k: DataT(t.ctor, tuple(k))),
+    AliasT: Shape(lambda t: t.args, lambda t, k: AliasT(t.name, tuple(k))),
+}
+
+
+def map_type(t: TypeExpr, f: Callable[..., TypeExpr], *args: Any) -> TypeExpr:
+    """t with `f(u, *args)` in place of each immediate subtype u; t itself
+    when no subtype changed."""
+    shape = TYPE_SHAPES.get(type(t))
+    if shape is None:
+        return t
+    kids = shape.children(t)
+    new = [f(k, *args) for k in kids]
+    for k, n in zip(kids, new):
+        if k is not n:
+            return shape.rebuild(t, new)
+    return t
 
 
 def shape_of(e: Expr) -> Shape:
@@ -685,19 +716,23 @@ def free_vars(e: Expr) -> frozenset[str]:
 
 
 def free_type_vars(t: TypeExpr) -> frozenset[str]:
+    """Type variables occurring free in t; cached on the node."""
+    tv = getattr(t, "_tvcache", None)
+    if tv is not None:
+        return tv
     if isinstance(t, TypeVar):
-        return frozenset((t.name,))
-    if isinstance(t, SvcT):
-        return frozenset().union(*(free_type_vars(a) for a in t.args)) if t.args else frozenset()
-    if isinstance(t, SrvT):
-        return frozenset().union(*(free_type_vars(s) for _, s in t.services)) if t.services else frozenset()
-    if isinstance(t, (InstT, ImgT)):
-        return free_type_vars(t.inner)
-    if isinstance(t, Univ):
-        return free_type_vars(t.bound) | (free_type_vars(t.body) - {t.var})
-    if isinstance(t, (DataT, AliasT)):
-        return frozenset().union(*(free_type_vars(a) for a in t.args)) if t.args else frozenset()
-    return frozenset()
+        tv = frozenset((t.name,))
+    elif isinstance(t, Univ):
+        tv = free_type_vars(t.bound) | (free_type_vars(t.body) - {t.var})
+    else:
+        tv = _NO_NAMES
+        shape = TYPE_SHAPES.get(type(t))
+        for c in shape.children(t) if shape else ():
+            cv = free_type_vars(c)
+            if cv:
+                tv = tv | cv if tv else cv
+    object.__setattr__(t, "_tvcache", tv)
+    return tv
 
 
 def expr_type_vars(e: Expr) -> frozenset[str]:
@@ -822,33 +857,28 @@ def substitute_type_in_type(t: TypeExpr, subst: Mapping[str, TypeExpr]) -> TypeE
         return t
     if isinstance(t, TypeVar):
         return subst.get(t.name, t)
-    if isinstance(t, SvcT):
-        return SvcT(tuple(substitute_type_in_type(a, subst) for a in t.args))
-    if isinstance(t, SrvT):
-        return SrvT(
-            tuple((n, substitute_type_in_type(s, subst)) for n, s in t.services)  # type: ignore[arg-type]
-        )
-    if isinstance(t, InstT):
-        return InstT(substitute_type_in_type(t.inner, subst))
-    if isinstance(t, ImgT):
-        return ImgT(substitute_type_in_type(t.inner, subst))
     if isinstance(t, Univ):
-        inner = {k: v for k, v in subst.items() if k != t.var}
-        bound = substitute_type_in_type(t.bound, subst)
-        if not inner:
-            return Univ(t.var, bound, t.body)
+        var, body = _under_binder(t.var, t.body, subst, substitute_type_in_type, free_type_vars)
+        return Univ(var, substitute_type_in_type(t.bound, subst), body)
+    return map_type(t, substitute_type_in_type, subst)
+
+
+def _under_binder(
+    var: str, body: Any, subst: Mapping[str, TypeExpr], walk: Callable, type_vars: Callable
+) -> tuple[str, Any]:
+    """The binder and body of a type binder (`Univ` or `TypeAbs`) after a
+    capture-avoiding substitution: `walk` substitutes in the body and
+    `type_vars` gives its free type variables. The binder shadows its own
+    name, and is renamed when a replacement mentions it free."""
+    inner = {k: v for k, v in subst.items() if k != var}
+    if inner:
         captured = frozenset().union(*(free_type_vars(v) for v in inner.values()))
-        var, body = t.var, t.body
         if var in captured:
-            nn = fresh_name(var, captured | free_type_vars(body) | set(inner))
-            body = substitute_type_in_type(body, {var: TypeVar(nn)})
+            nn = fresh_name(var, captured | type_vars(body) | set(inner))
+            body = walk(body, {var: TypeVar(nn)})
             var = nn
-        return Univ(var, bound, substitute_type_in_type(body, inner))
-    if isinstance(t, DataT):
-        return DataT(t.ctor, tuple(substitute_type_in_type(a, subst) for a in t.args))
-    if isinstance(t, AliasT):
-        return AliasT(t.name, tuple(substitute_type_in_type(a, subst) for a in t.args))
-    return t
+        body = walk(body, inner)
+    return var, body
 
 
 def substitute_type_in_expr(e: Expr, subst: Mapping[str, TypeExpr]) -> Expr:
@@ -873,17 +903,8 @@ def substitute_type_in_expr(e: Expr, subst: Mapping[str, TypeExpr]) -> Expr:
         )
         return ServerTemplate(rules, e.transparent_this, loc=e.loc)
     if isinstance(e, TypeAbs):
-        inner = {k: v for k, v in subst.items() if k != e.var}
-        bound = substitute_type_in_type(e.bound, subst)
-        if not inner:
-            return TypeAbs(e.var, bound, e.body, loc=e.loc)
-        captured = frozenset().union(*(free_type_vars(v) for v in inner.values()))
-        var, body = e.var, e.body
-        if var in captured:
-            nn = fresh_name(var, captured | expr_type_vars(body) | set(inner))
-            body = substitute_type_in_expr(body, {var: TypeVar(nn)})
-            var = nn
-        return TypeAbs(var, bound, substitute_type_in_expr(body, inner), loc=e.loc)
+        var, body = _under_binder(e.var, e.body, subst, substitute_type_in_expr, expr_type_vars)
+        return TypeAbs(var, substitute_type_in_type(e.bound, subst), body, loc=e.loc)
     if isinstance(e, TypeApp):
         return TypeApp(
             substitute_type_in_expr(e.expr, subst),

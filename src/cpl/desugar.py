@@ -4,7 +4,8 @@ let/letk spawn a wrapper server and request it; lambdas become single-service
 `app` instances via the continuation-passing transform; thunks become `force`
 servers. Derived forms whose wrapped body mentions `this` produce transparent
 templates so the enclosing instance is substituted in, keeping the sugar
-referentially transparent.
+referentially transparent. Fresh names are numbered past every name of the
+input (`collect_names`) and of each other, so no fresh binder captures a name.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from .core import (
     children,
     free_vars,
     fresh_name,
+    map_type,
     shape_of,
     substitute_type_in_type,
 )
@@ -117,46 +119,41 @@ class Desugarer:
     def __init__(self, aliases: Mapping[str, Alias] | None = None, used_names: set[str] | None = None):
         self.aliases: dict[str, Alias] = dict(aliases or {})
         self.used: set[str] = set(used_names or set())
+        # Each alias' right-hand side, expanded; only successes are kept, so
+        # a bad alias raises at every use, with that use's location.
+        self._expanded: dict[str, TypeExpr] = {}
 
     # -- fresh names --------------------------------------------------------
 
-    def fresh(self, base: str, avoid: frozenset[str] | set[str] = frozenset()) -> str:
-        name = fresh_name(base, self.used | set(avoid))
+    def fresh(self, base: str) -> str:
+        name = fresh_name(base, self.used)
         self.used.add(name)
         return name
 
     # -- type alias expansion ------------------------------------------------
 
     def expand_type(self, t: TypeExpr, loc: Loc | None = None, _stack: tuple[str, ...] = ()) -> TypeExpr:
-        if isinstance(t, AliasT):
-            if t.name in _stack:
-                raise DesugarError(f"cyclic type alias {t.name!r}", loc)
-            alias = self.aliases.get(t.name)
-            if alias is None:
-                raise DesugarError(f"unknown type alias {t.name!r}", loc)
-            if len(alias.params) != len(t.args):
-                raise DesugarError(
-                    f"type alias {t.name!r} expects {len(alias.params)} arguments, got {len(t.args)}",
-                    loc,
-                )
-            args = tuple(self.expand_type(a, loc, _stack) for a in t.args)
-            body = self.expand_type(alias.rhs, loc, _stack + (t.name,))
-            return substitute_type_in_type(body, dict(zip(alias.params, args)))
-        if isinstance(t, SvcT):
-            return SvcT(tuple(self.expand_type(a, loc, _stack) for a in t.args))
-        if isinstance(t, SrvT):
-            return SrvT(
-                tuple((n, self.expand_type(s, loc, _stack)) for n, s in t.services)  # type: ignore[arg-type]
+        """t with every alias application replaced by its definition."""
+        if not isinstance(t, AliasT):
+            return map_type(t, self.expand_type, loc, _stack)
+        if t.name in _stack:
+            raise DesugarError(f"cyclic type alias {t.name!r}", loc)
+        alias = self.aliases.get(t.name)
+        if alias is None:
+            raise DesugarError(f"unknown type alias {t.name!r}", loc)
+        if len(alias.params) != len(t.args):
+            raise DesugarError(
+                f"type alias {t.name!r} expects {len(alias.params)} arguments, got {len(t.args)}",
+                loc,
             )
-        if isinstance(t, InstT):
-            return InstT(self.expand_type(t.inner, loc, _stack))
-        if isinstance(t, ImgT):
-            return ImgT(self.expand_type(t.inner, loc, _stack))
-        if isinstance(t, Univ):
-            return Univ(t.var, self.expand_type(t.bound, loc, _stack), self.expand_type(t.body, loc, _stack))
-        if isinstance(t, DataT):
-            return DataT(t.ctor, tuple(self.expand_type(a, loc, _stack) for a in t.args))
-        return t
+        args = tuple(self.expand_type(a, loc, _stack) for a in t.args)
+        # The stack only adds cycle errors, and a right-hand side that expands
+        # under one stack reaches no alias that reaches it back, so its
+        # expansion is the same under every stack.
+        body = self._expanded.get(t.name)
+        if body is None:
+            body = self._expanded[t.name] = self.expand_type(alias.rhs, loc, _stack + (t.name,))
+        return substitute_type_in_type(body, dict(zip(alias.params, args)))
 
     # -- best-effort annotation synthesis -------------------------------------
 
@@ -351,8 +348,7 @@ class Desugarer:
                         "bind it with letk and an annotation",
                         a.loc,
                     )
-                avoid = frozenset().union(*(free_vars(x) for x in args if not isinstance(x, SApply)))
-                v = self.fresh("v", avoid)
+                v = self.fresh("v")
                 inner_args = list(args)
                 inner_args[i] = Var(v)
                 inner = self._lift_applies(callee, inner_args, env, loc)
@@ -391,7 +387,7 @@ class Desugarer:
         else:
             # Destructuring: receive the tuple, then project components.
             tup = DataT("Tuple", tuple(t for _, t in binders))
-            p = self.fresh("p", frozenset(n for n, _ in binders))
+            p = self.fresh("p")
             inner: Expr = e.body
             if len(binders) > len(PROJECTIONS):
                 raise DesugarError("destructuring letk supports at most 4 components", e.loc)
@@ -415,8 +411,7 @@ class Desugarer:
     def _lambda(self, e: SLambda, env: TypeEnv) -> Expr:
         params = tuple((n, self.expand_type(t, e.loc)) for n, t in e.params)
         ret = self.expand_type(e.ret, e.loc)
-        avoid = free_vars_surface(e.body) | {n for n, _ in params}
-        k = self.fresh("k", avoid)
+        k = self.fresh("k")
         inner_env = {**env, **dict(params)}
         body = self.cps(e.body, Var(k), inner_env)
         rule = ReactionRule(
@@ -437,8 +432,7 @@ class Desugarer:
             ann = self.synth(e.body, env)
         if ann is None:
             raise DesugarError("thunk needs a result type: thunk[T] e", e.loc)
-        avoid = free_vars_surface(e.body)
-        k = self.fresh("k", avoid) if "k" in avoid else "k"
+        k = self.fresh("k") if "k" in free_vars_surface(e.body) else "k"
         self.used.add(k)
         if isinstance(e.body, Request):
             callee = self.desugar_value(e.body.callee, env)
@@ -464,8 +458,7 @@ class Desugarer:
                     "cannot determine the function type of this application target",
                     e.loc,
                 )
-            avoid = free_vars_surface(e) | free_vars_surface(k)
-            vf = self.fresh("vf", avoid)
+            vf = self.fresh("vf")
 
             def chain(idx: int, fn_var: str, arg_vars: list[str]) -> Expr:
                 if idx == len(e.args):
@@ -478,7 +471,7 @@ class Desugarer:
                 t = self.synth(arg, env)
                 if t is None:
                     raise DesugarError("cannot determine an argument type in this application", e.loc)
-                va = self.fresh("v", avoid)
+                va = self.fresh("v")
                 kn = f"k{idx + 2}"
                 inner = chain(idx + 1, fn_var, arg_vars + [va])
                 wrapper = self._wrapper(kn, ((va, t),), inner)
@@ -490,36 +483,34 @@ class Desugarer:
         return Request(k, (self.desugar(e, env),), loc=getattr(e, "loc", None))
 
 
+# The immediate subterms of each surface form, each with the names bound
+# over it; every other class binds nothing over its `children`.
+_SCOPES = {
+    SLet: lambda e: ((e.rhs, ()), (e.body, (e.name,))),
+    SLetK: lambda e: ((e.rhs, ()), (e.body, tuple(n for n, _ in e.binders))),
+    SLambda: lambda e: ((e.body, tuple(n for n, _ in e.params)),),
+    SApply: lambda e: tuple((x, ()) for x in (e.fn, *e.args)),
+    SThunk: lambda e: ((e.body, ()),),
+    ServerTemplate: lambda e: tuple(
+        (r.body, r.bound_names if e.transparent_this else r.bound_names + (THIS,)) for r in e.rules
+    ),
+}
+
+
+def _scopes(e: Expr) -> tuple[tuple[Expr, tuple[str, ...]], ...]:
+    scopes = _SCOPES.get(type(e))
+    return scopes(e) if scopes else tuple((c, ()) for c in children(e))
+
+
 def free_vars_surface(e: Expr) -> frozenset[str]:
-    """Free variables of a surface expression (over-approximate on sugar)."""
-    if isinstance(e, SLet):
-        return free_vars_surface(e.rhs) | (free_vars_surface(e.body) - {e.name})
-    if isinstance(e, SLetK):
-        bound = {n for n, _ in e.binders}
-        return free_vars_surface(e.rhs) | (free_vars_surface(e.body) - bound)
-    if isinstance(e, SLambda):
-        return free_vars_surface(e.body) - {n for n, _ in e.params}
-    if isinstance(e, SApply):
-        out = free_vars_surface(e.fn)
-        for a in e.args:
-            out |= free_vars_surface(a)
-        return out
-    if isinstance(e, SThunk):
-        return free_vars_surface(e.body)
-    if isinstance(e, ServerTemplate):
-        out: frozenset[str] = frozenset()
-        for r in e.rules:
-            out |= free_vars_surface(r.body) - set(r.bound_names)
-        if not e.transparent_this:
-            out -= {THIS}
-        return out
+    """Free variables of a surface expression; the self-reference appears as "this"."""
     if isinstance(e, Var):
         return frozenset((e.name,))
     if isinstance(e, This):
         return frozenset((THIS,))
-    out = frozenset()
-    for c in children(e):
-        out |= free_vars_surface(c)
+    out: frozenset[str] = frozenset()
+    for c, bound in _scopes(e):
+        out |= free_vars_surface(c).difference(bound)
     return out
 
 
@@ -529,34 +520,18 @@ def free_vars_surface(e: Expr) -> frozenset[str]:
 
 
 def collect_names(src_names: set[str], e: Expr) -> None:
-    if isinstance(e, Var):
-        src_names.add(e.name)
-    elif isinstance(e, ServerTemplate):
-        for r in e.rules:
-            src_names.update(r.bound_names)
-            for p in r.patterns:
-                src_names.add(p.service)
-            collect_names(src_names, r.body)
-    elif isinstance(e, SLet):
-        src_names.add(e.name)
-        collect_names(src_names, e.rhs)
-        collect_names(src_names, e.body)
-    elif isinstance(e, SLetK):
-        src_names.update(n for n, _ in e.binders)
-        collect_names(src_names, e.rhs)
-        collect_names(src_names, e.body)
-    elif isinstance(e, SLambda):
-        src_names.update(n for n, _ in e.params)
-        collect_names(src_names, e.body)
-    elif isinstance(e, SApply):
-        collect_names(src_names, e.fn)
-        for a in e.args:
-            collect_names(src_names, a)
-    elif isinstance(e, SThunk):
-        collect_names(src_names, e.body)
-    else:
-        for c in children(e):
-            collect_names(src_names, c)
+    """Add every name of e to src_names: variables, binders and service
+    names. No Python frame per nesting level."""
+    todo = [e]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Var):
+            src_names.add(x.name)
+        elif isinstance(x, ServerTemplate):
+            src_names.update(p.service for r in x.rules for p in r.patterns)
+        for c, bound in _scopes(x):
+            src_names.update(bound)
+            todo.append(c)
 
 
 def desugar_program(prog: Program, base_env: TypeEnv | None = None) -> Expr:

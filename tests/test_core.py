@@ -215,7 +215,59 @@ def one_of_each_expr_class(loc):
     ]
 
 
+def one_of_each_type_class():
+    """One node of every TypeExpr class in cpl.core, each with subtypes
+    where the class has any."""
+    import cpl.core as core
+
+    a = TypeVar("a")
+    return [
+        core.Top(),
+        core.UnitT(),
+        core.Bot(),
+        INT,
+        a,
+        core.SvcT((a, INT)),
+        core.SrvT((("s", core.SvcT((a,))), ("r", core.SvcT(())))),
+        core.SrvBot(),
+        core.InstT(a),
+        core.ImgT(INT),
+        core.Univ("a", INT, core.SvcT((a,))),
+        core.DataT("Map", (a, INT)),
+        core.AliasT("A", (INT, a)),
+    ]
+
+
 class TestSubterms:
+    def test_type_table_covers_every_type_class_with_subtypes(self):
+        import dataclasses
+        import inspect
+
+        import cpl.core as core
+
+        types = one_of_each_type_class()
+        classes = {
+            c for _, c in inspect.getmembers(core, inspect.isclass)
+            if issubclass(c, core.TypeExpr) and c is not core.TypeExpr
+        }
+        assert classes == {type(t) for t in types}
+
+        def holds_types(x):
+            return isinstance(x, core.TypeExpr) or isinstance(x, tuple) and any(map(holds_types, x))
+
+        assert set(core.TYPE_SHAPES) == {
+            type(t) for t in types if any(holds_types(getattr(t, f.name)) for f in dataclasses.fields(t))
+        }
+
+    @pytest.mark.parametrize("t", one_of_each_type_class(), ids=lambda t: type(t).__name__)
+    def test_type_rebuild_round_trip(self, t):
+        from cpl.core import TYPE_SHAPES, map_type
+
+        shape = TYPE_SHAPES.get(type(t))
+        if shape is not None:
+            assert shape.rebuild(t, shape.children(t)) == t
+        assert map_type(t, lambda u: u) is t
+
     def test_table_covers_every_expr_class(self):
         import inspect
 
