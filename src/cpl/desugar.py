@@ -271,7 +271,7 @@ class Desugarer:
         entries: dict[str, SvcT] = {}
         for r in t.rules:
             for p in r.patterns:
-                svc = SvcT(tuple(self.expand_type(a) for _, a in p.params))
+                svc = SvcT(tuple(self.expand_type(a, t.loc) for _, a in p.params))
                 entries.setdefault(p.service, svc)
         return SrvT(tuple(entries.items()))
 

@@ -12,10 +12,17 @@ same `StuckError` on both engines.
 
 A firing evaluates the rule body in one walk under its bindings (the
 matched parameters and `this`) instead of substituting them into a copy of
-the body first, as the machine's React rule does. The results are the same:
-a value that still has free variables, such as a template that captures a
-parameter, is closed by substitution only when it escapes the firing (sent,
-spawned, observed, installed or returned to an enclosing operation).
+the body first, as the machine's React rule does. Spawning a template whose
+free variables are all bound does not close it either: the instance keeps
+the template as written next to the captured bindings (an environment
+closure), and its firings evaluate under `this`, then the captured names,
+then the matched parameters, so a transparent `srv*` keeps the enclosing
+`this` and a parameter shadows a captured name. A Snap closes the template
+by substitution, giving the image the machine's Spwn would have installed,
+and a Repl drops the captured bindings with the template. The results are
+the same: any other value that still has free variables is closed by
+substitution when it escapes the firing (sent, observed, installed, held in
+an image or type abstraction, or returned to an enclosing operation).
 """
 
 from __future__ import annotations
@@ -48,6 +55,7 @@ from .core import (
     Repl,
     Request,
     ServerImage,
+    ServerTemplate,
     ServiceRef,
     Snap,
     Spwn,
@@ -173,6 +181,9 @@ class _Tracker:
 class _Instance:
     address: Address
     entry: ServerImage
+    # The bindings of the template's free variables, set when a template is
+    # spawned unclosed; `entry` is then Live with that template.
+    captured: dict[str, Expr] | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     scheduled: bool = False
     firing: int = 0
@@ -264,10 +275,14 @@ class Runtime:
         self._submit(lambda: self._eval(closed, {}))
         return self
 
-    def rt_spawn(self, image: Expr, placement: Placement = Placement.REMOTE) -> Address:
+    def rt_spawn(
+        self, image: Expr, placement: Placement = Placement.REMOTE, captured: dict[str, Expr] | None = None
+    ) -> Address:
+        """Install `image`; `captured` binds the free variables of an image
+        that is a template spawned unclosed."""
         entry = spawnable(image, "spwn")
         addr = Address(next(self._next_addr), placement)
-        inst = _Instance(addr, entry)
+        inst = _Instance(addr, entry, captured)
         with self._reg_lock:
             self._instances[addr] = inst
         if isinstance(entry, Live) and entry.mailbox:
@@ -293,13 +308,14 @@ class Runtime:
     def rt_snapshot(self, addr: Address) -> Expr:
         inst = self._lookup(addr)
         with inst.lock:
-            return image_of(inst.entry)
+            entry, captured = inst.entry, inst.captured
+        return substitute(image_of(entry), captured) if captured else image_of(entry)
 
     def rt_replace(self, addr: Address, image: Expr) -> None:
         inst = self._lookup(addr)
         entry = spawnable(image, "repl")
         with inst.lock:
-            inst.entry = entry
+            inst.entry, inst.captured = entry, None
             self.replace_log.append((addr, len(entry.mailbox) if isinstance(entry, Live) else 0))
         if isinstance(entry, Live):
             self._schedule_pump(inst)
@@ -412,7 +428,7 @@ class Runtime:
         while True:
             with inst.lock:
                 fired = None
-                entry = inst.entry
+                entry, captured = inst.entry, inst.captured
                 if isinstance(entry, Live):
                     for rule in entry.template.rules:
                         m = match_patterns(rule.patterns, entry.mailbox, _MATCH_POLICY)
@@ -427,8 +443,10 @@ class Runtime:
                 assert inst.firing == 1, "overlapping firings on one instance"
             rule, bindings = fired
             try:
-                env = dict(bindings)
-                env[THIS] = Addr(inst.address)
+                env = {THIS: Addr(inst.address)}
+                if captured:
+                    env.update(captured)
+                env.update(bindings)
                 self._eval(rule.body, env)
             finally:
                 with inst.lock:
@@ -449,9 +467,17 @@ class Runtime:
                 self._eval(x, env)
             return Par(())
         if isinstance(e, Request):
-            callee = self._eval(e.callee, env)
+            # A send to `t#s` needs only t's address: no reference is built
+            # for a target looked up in env, such as a captured name.
+            named = isinstance(e.callee, ServiceRef)
+            callee = self._eval(e.callee.target if named else e.callee, env)
             args = tuple(self._eval(a, env) for a in e.args)
-            if isinstance(callee, ExternalRef):
+            if named:
+                if isinstance(callee, Addr):
+                    self.rt_send(callee.address, e.callee.service, args)
+                    return Par(())
+                callee = with_children(e.callee, (callee,))
+            elif isinstance(callee, ExternalRef):
                 if callee.name == "timer":
                     due = timer_due(args[0], self.local_time())
                     with self._clock_lock:
@@ -464,7 +490,12 @@ class Runtime:
                 return Par(())
             raise MachineError(f"request target is not a service reference: {callee!r}")
         if isinstance(e, Spwn):
-            return Addr(self.rt_spawn(self._eval(e.expr, env), e.placement))
+            t = e.expr
+            if isinstance(t, ServerTemplate):
+                fv = free_vars(t)
+                if fv and fv <= env.keys():
+                    return Addr(self.rt_spawn(t, e.placement, {n: env[n] for n in fv}))
+            return Addr(self.rt_spawn(self._eval(t, env), e.placement))
         if isinstance(e, Snap):
             return self.rt_snapshot(address_of(self._eval(e.expr, env), "snap", self._instances))
         if isinstance(e, Repl):

@@ -77,7 +77,10 @@ def test_desugar_output_pinned(capsys):
             rc = main(["desugar", *flags, tc.example_path(name)])
             captured = capsys.readouterr()
             parts.append(f"{name} {flags} {rc} {captured.out} {captured.err}")
-    assert _digest(parts) == "b46ea1b8a9d4a780"
+    # Re-recorded when the errors of supervision_demo.cpl and wordcount_ft.cpl
+    # without the prelude (an unknown alias in a template parameter) gained
+    # the template's position; every other part is unchanged.
+    assert _digest(parts) == "fe40ab6f57e232ca"
 
 
 # ---------------------------------------------------------------------------

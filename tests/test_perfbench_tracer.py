@@ -9,19 +9,40 @@ import cpl.toolchain as tc
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_tracer_installs_and_counts_both_engines(monkeypatch):
+def _traced(monkeypatch, run):
+    """The tracer's counts over one call of `run`."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     from tracer import Tracer
 
     tracer = Tracer()
     tracer.install()
     try:
+        run()
+    finally:
+        tracer.uninstall()
+    return tracer.counts
+
+
+def test_tracer_installs_and_counts_both_engines(monkeypatch):
+    def run():
         loaded = tc.load_program(tc.example_source("fact.cpl"), include_prelude=False)
         tc.run_smallstep(loaded.core)
         rt = tc.run_concurrent(loaded.core, virtual_time=True, timeout_ms=10_000)
         rt.shutdown()
-    finally:
-        tracer.uninstall()
-    assert tracer.counts["machine.steps"] > 0
-    assert tracer.counts["runtime.rt_send"] > 0
-    assert tracer.counts["runtime.instances_end"] > 0
+
+    counts = _traced(monkeypatch, run)
+    assert counts["machine.steps"] > 0
+    assert counts["runtime.rt_send"] > 0
+    assert counts["runtime.instances_end"] > 0
+
+
+def test_every_concurrent_spawn_goes_through_rt_spawn(monkeypatch):
+    """`runtime.spawns` counts `Runtime.rt_spawn` calls, so an instance made
+    another way would be missing from it."""
+    def run():
+        loaded = tc.load_program(tc.example_source("fact.cpl"))
+        rt = tc.run_concurrent(loaded.core, virtual_time=True, timeout_ms=10_000)
+        rt.shutdown()
+
+    counts = _traced(monkeypatch, run)
+    assert counts["runtime.rt_spawn"] == counts["runtime.instances_end"] > 0

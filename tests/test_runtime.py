@@ -341,6 +341,22 @@ CAPTURING_BODIES = {
         || result<x>)
       seen<y: Int> :> result<y>
     })#go<1>""",
+    "snap of a spawned template that captures": """(spwn srv {
+      go<x: Int> :> let w: inst srv { a: <Int> } = spwn srv { a<y: Int> :> result<x + y> }
+        in let i: img srv { a: <Int> } = snap w
+        in ((spwn i)#a<1> || w#a<2>)
+    })#go<7>""",
+    "repl of a spawned template that captures": """(spwn srv {
+      go<x: Int> :> let w: inst srv { a: <Int> } = spwn srv* { a<y: Int> :> this#seen<x + y> }
+        in let u: Unit = repl w img(srv { a<y: Int> :> this#b<y>  b<z: Int> :> result<z * 10> }, [])
+        in w#a<2>
+      seen<y: Int> :> result<y>
+    })#go<7>""",
+    "transparent template captures this next to a parameter": """(spwn srv {
+      go<x: Int> :> let s: inst srv { a: <Int>, b: <> } = spwn srv* { a<x: Int> :> this#seen<x>  b<> :> this#seen<x + 100> }
+        in (s#a<1> || s#b<>)
+      seen<y: Int> :> result<y>
+    })#go<7>""",
 }
 
 
@@ -430,6 +446,53 @@ def test_firings_substitute_nothing_into_rule_bodies(monkeypatch):
             rt.shutdown()
         counts[n] = len(calls)
     assert counts[20] == counts[80]
+
+
+# Each step spawns one continuation that captures the step's parameters and
+# the loop's `this`. Observes N(N+1)/2.
+CONTINUATIONS = """(spwn srv {
+  go<n: Int, acc: Int> :>
+    if n <= 0 then result<acc> else (spwn srv* { k<> :> this#go<n - 1, acc + n> })#k<>
+})#go<input, 0>"""
+
+
+def _substitutions(monkeypatch):
+    calls = []
+    real = runtime.substitute
+    monkeypatch.setattr(runtime, "substitute", lambda e, s: calls.append(e) or real(e, s))
+    return calls
+
+
+def test_spawns_substitute_nothing_into_captured_templates(monkeypatch):
+    """A template spawned with all its free variables bound keeps them as
+    captured bindings: the number of substitutions does not grow with the
+    number of continuations spawned."""
+    calls = _substitutions(monkeypatch)
+    counts = {}
+    for n in (20, 80):
+        calls.clear()
+        loaded = tc.load_program(CONTINUATIONS, include_prelude=False, input_value=BaseLit(n))
+        tc.check_expr(loaded.core, loaded.env)
+        rt = tc.run_concurrent(loaded.core, virtual_time=True, timeout_ms=10_000)
+        try:
+            assert cc_obs(rt) == [n * (n + 1) // 2]
+        finally:
+            rt.shutdown()
+        counts[n] = len(calls)
+    assert counts[20] == counts[80]
+
+
+def test_wordcount_ft_spawns_its_let_wrappers_unclosed(monkeypatch):
+    """The stdlib's one-shot `let` wrappers were most of the substitutions
+    of a concurrent wordcount_ft run (1 227 of them)."""
+    from test_mapreduce import extract_corpus, wordcount_oracle
+
+    oracle = wordcount_oracle(extract_corpus(tc.load_program(tc.example_source("wordcount.cpl")).core))
+    calls = _substitutions(monkeypatch)
+    with run_cc(tc.example_source("wordcount_ft.cpl"), virtual=True) as rt:
+        assert not rt.timed_out
+        assert [(o.service, [value_to_json(a) for a in o.args]) for o in rt.log.snapshot()] == [("result", [oracle])]
+    assert len(calls) < 100
 
 
 def test_apply_builtin_catalogue():

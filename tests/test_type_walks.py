@@ -156,7 +156,8 @@ def _digest(lines):
 
 # (lines, binders renamed, digest), recorded from the hand-written walks.
 PINNED_WALKS = (1494, 475, "ee5201845c07ada1")
-PINNED_ERRORS = (324, "d7a82e63f7bd3286")
+# Re-recorded when the two template lines gained the template's position.
+PINNED_ERRORS = (324, "1eba632f634fb2fa")
 
 
 def test_type_walks_pinned():
@@ -168,3 +169,12 @@ def test_alias_errors_pinned():
     lines = _error_lines()
     assert "accepted" not in "".join(lines[:-6])
     assert (len(lines), _digest(lines)) == PINNED_ERRORS
+
+
+def test_template_parameter_alias_error_has_a_position(tmp_path, capsys):
+    from cpl.cli import main
+
+    f = tmp_path / "alias.cpl"
+    f.write_text("type A = Missing;\n(spwn srv { x<v: A> :> par })#x<1>")
+    assert main(["check", str(f)]) == 3
+    assert capsys.readouterr().err.strip() == "error: 2:7: unknown type alias 'Missing'"
