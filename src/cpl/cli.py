@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 type error, 2 quiescent-with-pending or step/time
 limit, 3 parse or desugar error, 4 internal error. Diagnostics go to stderr,
-results to stdout.
+results to stdout. Only `run` and `trace` import an engine, so `check` and
+`desugar` start without one.
 """
 
 from __future__ import annotations
@@ -12,11 +13,10 @@ import json
 import sys
 from typing import Optional
 
-from . import machine, toolchain
+from . import toolchain
 from .core import Expr
 from .errors import CplError, DesugarError, LinearityError, MachineError, ParseError
-from .pretty import pretty_expr, pretty_message, pretty_type
-from .runtime import value_to_json
+from .pretty import pretty_expr, pretty_message, pretty_type, value_to_json
 from .typecheck import TypeCheckError
 
 EXIT_OK = 0
@@ -80,6 +80,8 @@ def cmd_run(args) -> int:
     loaded = _load(args, input_value)
     toolchain.check_expr(loaded.core, loaded.env)
     if args.engine == "smallstep":
+        from . import machine
+
         result = toolchain.run_smallstep(loaded.core, seed=args.seed, max_steps=args.max_steps)
         sys.stdout.write(_observation_lines((s, vals) for _, s, vals in result.final.observations))
         if result.status == machine.STEP_LIMIT:
@@ -99,8 +101,7 @@ def cmd_run(args) -> int:
         if rt.timed_out:
             print("timeout reached", file=sys.stderr)
             return EXIT_RUNTIME
-        pending = rt.pending_summary()
-        if not log and pending:
+        if not log and (pending := rt.pending_summary()):
             print(_pending_diagnostic(pending), file=sys.stderr)
             return EXIT_RUNTIME
         return EXIT_OK
@@ -109,6 +110,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from . import machine
+
     loaded = _load(args)
     toolchain.check_expr(loaded.core, loaded.env)
     result = toolchain.run_smallstep(

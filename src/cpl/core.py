@@ -790,6 +790,18 @@ def substitute(e: Expr, subst: Substitution) -> Expr:
     return _subst(e, dict(subst))
 
 
+# The free names a program sends its observations to. They and `timer` are
+# the engine endpoints.
+OBSERVERS = ("result", "event", "print")
+
+
+def wire_observers(core: Expr) -> Expr:
+    """Close a program over the engine endpoints: its free observer names
+    and `timer` become external references."""
+    names = {n: ExternalRef(n) for n in free_vars(core) if n in OBSERVERS or n == "timer"}
+    return substitute(core, names) if names else core
+
+
 def _subst(e: Expr, s: dict[str, Expr]) -> Expr:
     # Identity-preserving: untouched subtrees are shared, which keeps the
     # per-node free-variable caches alive across firings.

@@ -39,9 +39,9 @@ snapshots, traces, digests and the typechecker see as before.
 
 The threaded runtime runs the same rules on another scheduler. It shares
 this module's side conditions (`spawnable`, `address_of`, `timer_due`,
-`instantiate`, `branch`), its table entries (`Live`, `Inert`), its observer
-wiring (`wire_observers`) and its idle-timer rule (`MAX_IDLE_TIMER_ROUNDS`),
-so an ill-formed redex raises the same `StuckError` on both engines.
+`instantiate`, `branch`), its table entries (`Live`, `Inert`) and its
+idle-timer rule (`MAX_IDLE_TIMER_ROUNDS`), so an ill-formed redex raises the
+same `StuckError` on both engines.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ from .core import (
     TypeExpr,
     ZeroImage,
     bind,
-    free_vars,
     image_of,
     is_value,
     shape_of,
@@ -96,23 +95,12 @@ from .pretty import pretty_expr
 
 Observation = tuple[int, str, tuple[Expr, ...]]
 
-# The free names a program sends its observations to. They and `timer` are
-# the engine endpoints.
-OBSERVERS = ("result", "event", "print")
-
 # When nothing else can move but timers are armed, time jumps to the next
 # deadline and the timers due then fire. A round that adds neither an
 # observation nor a replacement is idle; a run stops after this many idle
 # rounds in a row, which bounds re-arming loops (the recovery combinator
 # re-arms its check forever).
 MAX_IDLE_TIMER_ROUNDS = 6
-
-
-def wire_observers(core: Expr) -> Expr:
-    """Close a program over the engine endpoints: its free observer names
-    and `timer` become external references."""
-    names = {n: ExternalRef(n) for n in free_vars(core) if n in OBSERVERS or n == "timer"}
-    return substitute(core, names) if names else core
 
 
 @dataclass

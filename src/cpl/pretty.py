@@ -1,4 +1,5 @@
-"""Compact, re-parseable rendering of core terms and types."""
+"""Compact, re-parseable rendering of core terms and types, and the JSON
+form of observed values."""
 
 from __future__ import annotations
 
@@ -210,6 +211,31 @@ def _atom(e: Expr) -> str:
     if s.startswith("("):
         return s
     return f"({s})"
+
+
+def value_to_json(v: Expr):
+    """The JSON form of a value: literals as themselves, tuples and lists as
+    arrays, a map as an object if its keys are strings (else as an array of
+    pairs), and anything else as a tagged object."""
+    if isinstance(v, BaseLit):
+        return v.value
+    if isinstance(v, TupleV):
+        return [value_to_json(x) for x in v.items]
+    if isinstance(v, ListV):
+        return [value_to_json(x) for x in v.items]
+    if isinstance(v, MapV):
+        if all(isinstance(k, BaseLit) and isinstance(k.value, str) for k, _ in v.entries):
+            return {k.value: value_to_json(x) for k, x in v.entries}  # type: ignore[union-attr]
+        return [[value_to_json(k), value_to_json(x)] for k, x in v.entries]
+    if isinstance(v, Addr):
+        return {"$addr": v.address.id}
+    if isinstance(v, ServiceRef) and isinstance(v.target, Addr):
+        return {"$svc": [v.target.address.id, v.service]}
+    if isinstance(v, ExternalRef):
+        return {"$ext": v.name}
+    if isinstance(v, ZeroImage):
+        return {"$image": None}
+    return {"$value": pretty_expr(v)}
 
 
 # `pretty_print` is the spec-facing name.

@@ -40,7 +40,6 @@ from .core import (
     THIS,
     Addr,
     Address,
-    BaseLit,
     BaseOp,
     Expr,
     ExternalRef,
@@ -63,12 +62,12 @@ from .core import (
     TupleV,
     TypeApp,
     Var,
-    ZeroImage,
     children,
     free_vars,
     image_of,
     is_value,
     substitute,
+    wire_observers,
     with_children,
 )
 from .errors import MachineError
@@ -81,8 +80,8 @@ from .machine import (
     match_patterns,
     spawnable,
     timer_due,
-    wire_observers,
 )
+from .pretty import value_to_json
 
 _POOL_SIZE = 8
 _INLINE_DEPTH_LIMIT = 40
@@ -124,30 +123,6 @@ class ObservationLog:
             + "\n"
             for o in self.snapshot()
         )
-
-
-def value_to_json(v: Expr):
-    if isinstance(v, BaseLit):
-        return v.value
-    if isinstance(v, TupleV):
-        return [value_to_json(x) for x in v.items]
-    if isinstance(v, ListV):
-        return [value_to_json(x) for x in v.items]
-    if isinstance(v, MapV):
-        if all(isinstance(k, BaseLit) and isinstance(k.value, str) for k, _ in v.entries):
-            return {k.value: value_to_json(x) for k, x in v.entries}  # type: ignore[union-attr]
-        return [[value_to_json(k), value_to_json(x)] for k, x in v.entries]
-    if isinstance(v, Addr):
-        return {"$addr": v.address.id}
-    if isinstance(v, ServiceRef) and isinstance(v.target, Addr):
-        return {"$svc": [v.target.address.id, v.service]}
-    if isinstance(v, ExternalRef):
-        return {"$ext": v.name}
-    if isinstance(v, ZeroImage):
-        return {"$image": None}
-    from .pretty import pretty_expr
-
-    return {"$value": pretty_expr(v)}
 
 
 class _Tracker:

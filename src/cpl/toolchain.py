@@ -1,22 +1,39 @@
-"""Front-to-back plumbing: prelude loading, checking, and engine drivers."""
+"""Front-to-back plumbing: prelude loading, checking, and engine drivers.
+
+The engines are imported by their drivers when first called, so loading and
+checking a program never imports `machine` or `runtime`.
+"""
 
 from __future__ import annotations
 
 import functools
 import importlib.resources
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import machine, runtime
-from .core import BaseLit, Expr, ExternalRef, ListV, Par, TupleV, TypeExpr, substitute
+from .core import (
+    OBSERVERS,
+    BaseLit,
+    Expr,
+    ExternalRef,
+    ListV,
+    Par,
+    TupleV,
+    TypeExpr,
+    substitute,
+    wire_observers,
+)
 from .desugar import desugar_program
 from .errors import CplError
-from .machine import wire_observers
 from .parser import Program, parse
 from .typecheck import LocationTyping, TypeContext, context_from, type_of
 
+if TYPE_CHECKING:
+    from .machine import RunResult
+    from .runtime import Runtime
+
 BASE_ENV: dict[str, TypeExpr] = {
-    name: type_of(TypeContext(), {}, ExternalRef(name)) for name in (*machine.OBSERVERS, "timer")
+    name: type_of(TypeContext(), {}, ExternalRef(name)) for name in (*OBSERVERS, "timer")
 }
 
 STDLIB_FILES = (
@@ -105,7 +122,9 @@ def run_smallstep(
     seed: int = 0,
     max_steps: int = 500_000,
     record_trace: bool = False,
-) -> machine.RunResult:
+) -> RunResult:
+    from . import machine
+
     wired = wire_observers(core)
     config = machine.initial_config(wired)
     policy = machine.deterministic(seed)
@@ -116,7 +135,9 @@ def run_concurrent(
     core: Expr,
     virtual_time: bool = False,
     timeout_ms: int = 30_000,
-) -> runtime.Runtime:
+) -> Runtime:
+    from . import runtime
+
     rt = runtime.boot(core, virtual_time=virtual_time)
     try:
         rt.await_quiescence(timeout_ms)

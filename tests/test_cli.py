@@ -241,6 +241,19 @@ def test_run_stuck_concurrent_engine(examples, capsys):
     assert "quiescent: 1 pending message (foo<> at addr 0)" == captured.err.strip()
 
 
+def test_concurrent_run_summarises_pending_only_without_observations(examples, capsys, monkeypatch):
+    from cpl.runtime import Runtime
+
+    calls, summary = [], Runtime.pending_summary
+    monkeypatch.setattr(Runtime, "pending_summary", lambda rt: calls.append(rt) or summary(rt))
+    assert main(["run", examples["fact.cpl"], "--engine=concurrent"]) == 0
+    assert capsys.readouterr().err == ""
+    assert calls == []
+    assert main(["run", examples["stuck.cpl"], "--no-prelude", "--engine=concurrent"]) == 2
+    assert capsys.readouterr().err == "quiescent: 1 pending message (foo<> at addr 0)\n"
+    assert len(calls) == 1
+
+
 def test_run_timeout_flag(tmp_path, capsys):
     # a real-time timer far beyond the timeout forces the timeout path
     f = tmp_path / "slow.cpl"

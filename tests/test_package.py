@@ -1,6 +1,7 @@
 """The `cpl` package surface: its public names, where each one comes from,
-and the names other modules re-export. Each check runs in a fresh
-interpreter, so no other test has imported a layer before it."""
+the names other modules re-export, and the layers each command imports.
+Each check runs in a fresh interpreter, so no other test has imported a
+layer before it."""
 
 import os
 import subprocess
@@ -78,4 +79,28 @@ def test_reexported_helpers_still_import():
         from cpl.toolchain import wire_observers
         assert value_to_json(BaseLit(1)) == 1
         assert wire_observers(Var("x")) == Var("x")
+    """)
+
+
+def test_check_and_desugar_import_neither_engine():
+    run_fresh("""
+        import sys
+        import cpl
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("cpl."))
+
+        assert loaded() == [], loaded()
+        from cpl.cli import main
+        from cpl.toolchain import example_path
+
+        fact = example_path("fact.cpl")
+        engines = ["cpl.machine", "cpl.runtime"]
+        for argv in (["check", fact], ["desugar", fact], ["desugar", fact, "--prelude"]):
+            assert main(argv) == 0
+            assert not set(engines) & set(loaded()), (argv, loaded())
+        assert main(["run", fact]) == 0
+        assert "cpl.machine" in loaded() and "cpl.runtime" not in loaded(), loaded()
+        assert main(["run", fact, "--engine=concurrent"]) == 0
+        assert set(engines) <= set(loaded()), loaded()
     """)
