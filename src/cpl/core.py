@@ -790,18 +790,6 @@ def substitute(e: Expr, subst: Substitution) -> Expr:
     return _subst(e, dict(subst))
 
 
-# The free names a program sends its observations to. They and `timer` are
-# the engine endpoints.
-OBSERVERS = ("result", "event", "print")
-
-
-def wire_observers(core: Expr) -> Expr:
-    """Close a program over the engine endpoints: its free observer names
-    and `timer` become external references."""
-    names = {n: ExternalRef(n) for n in free_vars(core) if n in OBSERVERS or n == "timer"}
-    return substitute(core, names) if names else core
-
-
 def _subst(e: Expr, s: dict[str, Expr]) -> Expr:
     # Identity-preserving: untouched subtrees are shared, which keeps the
     # per-node free-variable caches alive across firings.
@@ -859,6 +847,18 @@ def _subst_template(t: ServerTemplate, s: dict[str, Expr]) -> ServerTemplate:
             body = _subst(body, renaming)
         new_rules.append(ReactionRule(patterns, _subst(body, local)))
     return ServerTemplate(tuple(new_rules), t.transparent_this, loc=t.loc)
+
+
+# The free names a program sends its observations to. They and `timer` are
+# the engine endpoints.
+OBSERVERS = ("result", "event", "print")
+
+
+def wire_observers(core: Expr) -> Expr:
+    """Close a program over the engine endpoints: its free observer names
+    and `timer` become external references."""
+    names = {n: ExternalRef(n) for n in free_vars(core) if n in OBSERVERS or n == "timer"}
+    return substitute(core, names) if names else core
 
 
 # Type substitution ----------------------------------------------------------

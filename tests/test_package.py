@@ -28,16 +28,15 @@ PUBLIC = [
 ]
 
 
-def run_fresh(script: str) -> str:
+def run_fresh(script: str) -> None:
     """Run `script` in a new interpreter that imports `cpl` from this
-    checkout; fail with its stderr if it fails, else return its stdout."""
+    checkout; fail with its stderr if it fails."""
     env = {**os.environ, "PYTHONPATH": SRC}
     proc = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(script)],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout
 
 
 def test_all_lists_the_public_names():
