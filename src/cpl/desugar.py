@@ -17,6 +17,7 @@ from .builtins import OPS, PROJECTIONS
 from .core import (
     BOT,
     THIS,
+    TYPE_SHAPES,
     UNIT,
     AliasT,
     BaseLit,
@@ -53,7 +54,6 @@ from .core import (
     children,
     free_vars,
     fresh_name,
-    map_type,
     shape_of,
     substitute_type_in_type,
 )
@@ -115,13 +115,15 @@ class Alias:
     rhs: TypeExpr
 
 
+# The aliases an expansion consulted, transitively: name -> (params, rhs).
+Consulted = Mapping[str, tuple[tuple[str, ...], TypeExpr]]
+_NONE_CONSULTED: Consulted = {}
+
+
 class Desugarer:
     def __init__(self, aliases: Mapping[str, Alias] | None = None, used_names: set[str] | None = None):
         self.aliases: dict[str, Alias] = dict(aliases or {})
         self.used: set[str] = set(used_names or set())
-        # Each alias' right-hand side, expanded; only successes are kept, so
-        # a bad alias raises at every use, with that use's location.
-        self._expanded: dict[str, TypeExpr] = {}
 
     # -- fresh names --------------------------------------------------------
 
@@ -132,28 +134,71 @@ class Desugarer:
 
     # -- type alias expansion ------------------------------------------------
 
-    def expand_type(self, t: TypeExpr, loc: Loc | None = None, _stack: tuple[str, ...] = ()) -> TypeExpr:
-        """t with every alias application replaced by its definition."""
-        if not isinstance(t, AliasT):
-            return map_type(t, self.expand_type, loc, _stack)
-        if t.name in _stack:
-            raise DesugarError(f"cyclic type alias {t.name!r}", loc)
-        alias = self.aliases.get(t.name)
-        if alias is None:
-            raise DesugarError(f"unknown type alias {t.name!r}", loc)
-        if len(alias.params) != len(t.args):
-            raise DesugarError(
-                f"type alias {t.name!r} expects {len(alias.params)} arguments, got {len(t.args)}",
-                loc,
-            )
-        args = tuple(self.expand_type(a, loc, _stack) for a in t.args)
-        # The stack only adds cycle errors, and a right-hand side that expands
-        # under one stack reaches no alias that reaches it back, so its
-        # expansion is the same under every stack.
-        body = self._expanded.get(t.name)
-        if body is None:
-            body = self._expanded[t.name] = self.expand_type(alias.rhs, loc, _stack + (t.name,))
-        return substitute_type_in_type(body, dict(zip(alias.params, args)))
+    def expand_type(self, t: TypeExpr, loc: Loc | None = None) -> TypeExpr:
+        """t with every alias application replaced by its definition.
+
+        The result is cached on each node of t, with every alias its
+        expansion consulted, transitively, as (name, params, right-hand-side
+        node). Any Desugarer reuses it while its table binds each of those
+        names to the identical right-hand-side node with the same params, as
+        a recomputation would read only those bindings. So the stdlib's
+        annotations, whose nodes live as long as its parse, are expanded
+        once per process. Errors are not cached: each raises at its own
+        use's `loc`."""
+        return self._expand(t, loc, ())[0]
+
+    def _binds(self, consulted: Consulted) -> bool:
+        aliases = self.aliases
+        for name, (params, rhs) in consulted.items():
+            a = aliases.get(name)
+            if a is None or a.rhs is not rhs or a.params != params:
+                return False
+        return True
+
+    def _expand(self, t: TypeExpr, loc: Loc | None, stack: tuple[str, ...]) -> tuple[TypeExpr, Consulted]:
+        """t expanded, and the aliases consulted. The stack only adds cycle
+        errors, and an expansion that succeeded under one stack reaches no
+        alias that reaches it back, so a cached result holds under every
+        stack."""
+        shape = TYPE_SHAPES.get(type(t))
+        if shape is None:
+            return t, _NONE_CONSULTED
+        hit = getattr(t, "_excache", None)
+        if hit is not None and self._binds(hit[1]):
+            return t if hit[0] is None else hit[0], hit[1]
+        if isinstance(t, AliasT):
+            if t.name in stack:
+                raise DesugarError(f"cyclic type alias {t.name!r}", loc)
+            alias = self.aliases.get(t.name)
+            if alias is None:
+                raise DesugarError(f"unknown type alias {t.name!r}", loc)
+            if len(alias.params) != len(t.args):
+                raise DesugarError(
+                    f"type alias {t.name!r} expects {len(alias.params)} arguments, got {len(t.args)}",
+                    loc,
+                )
+            args, consulted = self._expand_all(t.args, loc, stack)
+            body, by_rhs = self._expand(alias.rhs, loc, stack + (t.name,))
+            out = substitute_type_in_type(body, dict(zip(alias.params, args)))
+            consulted = {**consulted, **by_rhs, t.name: (alias.params, alias.rhs)}
+        else:
+            kids = shape.children(t)
+            new, consulted = self._expand_all(kids, loc, stack)
+            out = t if all(k is n for k, n in zip(kids, new)) else shape.rebuild(t, new)
+        # An unchanged node is cached as None, so it holds no cycle to itself.
+        object.__setattr__(t, "_excache", (None if out is t else out, consulted))
+        return out, consulted
+
+    def _expand_all(
+        self, ts: Sequence[TypeExpr], loc: Loc | None, stack: tuple[str, ...]
+    ) -> tuple[list[TypeExpr], Consulted]:
+        out, consulted = [], _NONE_CONSULTED
+        for u in ts:
+            e, c = self._expand(u, loc, stack)
+            out.append(e)
+            if c:
+                consulted = {**consulted, **c} if consulted else c
+        return out, consulted
 
     # -- best-effort annotation synthesis -------------------------------------
 
@@ -534,6 +579,18 @@ def collect_names(src_names: set[str], e: Expr) -> None:
             todo.append(c)
 
 
+def _names(e: Expr) -> frozenset[str]:
+    """The names of e (`collect_names`), cached on e: they depend on e
+    alone, so a stdlib definition's are collected once per process."""
+    names = getattr(e, "_nmcache", None)
+    if names is None:
+        acc: set[str] = set()
+        collect_names(acc, e)
+        names = frozenset(acc)
+        object.__setattr__(e, "_nmcache", names)
+    return names
+
+
 def desugar_program(prog: Program, base_env: TypeEnv | None = None) -> Expr:
     """Expand aliases and lower a whole program to a single core expression.
 
@@ -554,7 +611,7 @@ def _prepare(prog: Program, base_env: TypeEnv | None) -> tuple[Desugarer, dict[s
     used: set[str] = set()
     for dfn in prog.defs:
         used.add(dfn.name)
-        collect_names(used, dfn.rhs)
+        used |= _names(dfn.rhs)
     if prog.main is not None:
         collect_names(used, prog.main)
     d = Desugarer(aliases, used)

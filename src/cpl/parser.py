@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import core
 from .builtins import is_builtin
@@ -139,8 +139,7 @@ class Program:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT, INT, FLOAT, STRING, PUNCT, EOF
     text: str
     loc: Loc

@@ -59,6 +59,16 @@ _INFIX = {
 
 
 def pretty_type(t: TypeExpr) -> str:
+    """The text of t, cached on the node as `_ptcache`: types are immutable,
+    and the stdlib's expanded annotations are shared by every load."""
+    text = getattr(t, "_ptcache", None)
+    if text is None:
+        text = _type_text(t)
+        object.__setattr__(t, "_ptcache", text)
+    return text
+
+
+def _type_text(t: TypeExpr) -> str:
     if isinstance(t, Top):
         return "Top"
     if isinstance(t, UnitT):

@@ -55,7 +55,10 @@ def stdlib_source(name: str) -> str:
 @functools.cache
 def _parsed_stdlib(name: str) -> Program:
     """The stdlib file parsed once per process; a `Program` is immutable.
-    Desugaring stays per load: fresh names depend on the merged program."""
+    Its trees live as long as the process, so the desugarer's caches on
+    them, each definition's names and each annotation's alias expansion,
+    are also computed once per process. Fresh names, lowering and typing
+    stay per load: fresh names are numbered over the merged program."""
     return parse(stdlib_source(name))
 
 

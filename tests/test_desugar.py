@@ -306,3 +306,32 @@ letk (a: Int, b: Int, c: Int, d: Int) = F<> in result<a + b + c + d>
         tmpl = loaded.core.callee.target.expr
         ann = tmpl.rules[0].patterns[0].params[0][1]
         assert ann == DataT("List", (DataT("Tuple", (B("Bool"), B("Int"))),))
+
+
+def test_stdlib_annotations_and_names_are_reused_across_loads(monkeypatch):
+    """The stdlib's alias expansions and definition names are computed once
+    per process: from the second load on, only the user program's are."""
+    stdlib_rhs = {id(d.rhs) for name in tc.STDLIB_FILES for d in tc._parsed_stdlib(name).defs}
+    substitutions, walked = [], []
+    substitute = D.substitute_type_in_type
+    collect = D.collect_names
+
+    def counting_substitute(t, subst):
+        substitutions[-1] += 1
+        return substitute(t, subst)
+
+    def recording_collect(names, e):
+        walked[-1] += id(e) in stdlib_rhs
+        collect(names, e)
+
+    monkeypatch.setattr(D, "substitute_type_in_type", counting_substitute)
+    monkeypatch.setattr(D, "collect_names", recording_collect)
+    src = tc.example_source("wordcount.cpl")
+    printed = []
+    for _ in range(3):
+        substitutions.append(0)
+        walked.append(0)
+        printed.append(pretty_expr(tc.load_program(src).core))
+    assert printed[0] == printed[1] == printed[2]
+    assert substitutions[1] == substitutions[2] <= 10
+    assert walked[1] == walked[2] == 0

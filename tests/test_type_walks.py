@@ -6,8 +6,12 @@ The annotations are found with a generic walk over dataclass fields, so the
 pins do not depend on the walks they pin."""
 
 import dataclasses
+import gc
 import hashlib
 import random
+import weakref
+
+import pytest
 
 import cpl.toolchain as tc
 from cpl.core import (
@@ -24,6 +28,7 @@ from cpl.core import (
 from cpl.desugar import Alias, Desugarer
 from cpl.errors import DesugarError, Loc
 from cpl.parser import parse
+from cpl.pretty import pretty_type
 
 EXAMPLES = ("fact.cpl", "stuck.cpl", "supervision_demo.cpl", "wordcount.cpl", "wordcount_ft.cpl", "wordcount_lb.cpl")
 
@@ -178,3 +183,70 @@ def test_template_parameter_alias_error_has_a_position(tmp_path, capsys):
     f.write_text("type A = Missing;\n(spwn srv { x<v: A> :> par })#x<1>")
     assert main(["check", str(f)]) == 3
     assert capsys.readouterr().err.strip() == "error: 2:7: unknown type alias 'Missing'"
+
+
+def _expanded_or_error(d, t, loc):
+    try:
+        return pretty_type(d.expand_type(t, loc))
+    except DesugarError as err:
+        return f"{err.loc} {err.msg}"
+
+
+def test_cached_expansion_follows_each_alias_table():
+    """One annotation node, expanded by Desugarers whose tables rebind,
+    remove or make cyclic an alias it consults through another, gives each
+    table's own result or error, whichever table came before."""
+
+    def tables():
+        prog = parse("type P[x] = (x, B); type B = Int; def f: List[P[Bool]] = []; par")
+        p, b = prog.aliases
+        s = dataclasses.replace(b, name="S", rhs=TypeVar("s"))
+        return prog.defs[0].ann, {
+            "as parsed": ([p, b], "List[(Bool, Int)]"),
+            "rebound": ([p, dataclasses.replace(b, rhs=AliasT("S", ())), s], "List[(Bool, s)]"),
+            "removed": ([p], "4:2 unknown type alias 'B'"),
+            "cyclic": ([p, dataclasses.replace(b, rhs=AliasT("P", (INT,)))], "4:2 cyclic type alias 'P'"),
+            "renamed parameter": ([dataclasses.replace(p, params=("y",)), b], "List[(x, Int)]"),
+        }
+
+    names = list(tables()[1])
+    for first in names:
+        for second in names:
+            ann, table = tables()
+            for name in (first, second, first):
+                aliases, want = table[name]
+                assert _expanded_or_error(_desugarer(aliases), ann, Loc(4, 2)) == want, (first, second, name)
+
+
+def test_bad_annotation_raises_at_each_use_on_every_load():
+    """Errors are never cached: a bad annotation raises at each use's own
+    location, on every load, also after its well-formed parts were cached."""
+    bad = SvcT((AliasT("TThunk", (INT,)), AliasT("TThunk", ())))
+    d = _desugarer([a for name in tc.STDLIB_FILES for a in tc._parsed_stdlib(name).aliases])
+    for line in (1, 2, 1):
+        assert _expanded_or_error(d, bad, Loc(line, 5)) == f"{line}:5 type alias 'TThunk' expects 1 arguments, got 0"
+    src = "type Bad = (TThunk[Int], TThunk);\ndef a: Int = 1;\ndef b: Bad = 2;\ndef c: Bad = 3;\npar"
+    without_b = src.replace("def b: Bad = 2;", "")
+    for text, line in ((src, 3), (without_b, 4), (src, 3), (without_b, 4)):
+        with pytest.raises(DesugarError) as err:
+            tc.load_program(text)
+        assert str(err.value) == f"{line}:1: type alias 'TThunk' expects 1 arguments, got 0"
+
+
+def test_user_tree_is_freed_after_its_load(monkeypatch):
+    """The caches sit on the nodes, and the stdlib's cache nothing of a user
+    program: its tree dies with its load."""
+    parsed = []
+
+    def parse_and_watch(text):
+        prog = parse(text)
+        parsed.append((weakref.ref(prog.main), weakref.ref(prog.defs[0].rhs)))
+        return prog
+
+    monkeypatch.setattr(tc, "parse", parse_and_watch)
+    for name in ("wordcount.cpl", "supervision_demo.cpl"):
+        loaded = tc.load_program(tc.example_source(name))
+        pretty_type(tc.check_expr(loaded.core, loaded.env))
+        del loaded
+    gc.collect()
+    assert parsed and all(ref() is None for refs in parsed for ref in refs)
