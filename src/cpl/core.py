@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import LinearityError, Loc
 
@@ -90,10 +90,6 @@ class SrvT(TypeExpr):
             if n == name:
                 return t
         return None
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(n for n, _ in self.services)
 
 
 @dataclass(frozen=True)
@@ -503,9 +499,6 @@ class Mailbox:
 
     def __len__(self) -> int:
         return sum(map(len, self._queues.values()))
-
-    def __iter__(self) -> Iterator[MessageValue]:
-        return iter(self.ordered())
 
 
 EMPTY_MAILBOX = Mailbox()

@@ -4,8 +4,11 @@ let/letk spawn a wrapper server and request it; lambdas become single-service
 `app` instances via the continuation-passing transform; thunks become `force`
 servers. Derived forms whose wrapped body mentions `this` produce transparent
 templates so the enclosing instance is substituted in, keeping the sugar
-referentially transparent. Fresh names are numbered past every name of the
-input (`collect_names`) and of each other, so no fresh binder captures a name.
+referentially transparent. Requests are lowered in one place (`_request`),
+whether they stand alone, as letk's right-hand side or as a thunk's body: an
+application that is the callee or an argument is CPS-lifted, leftmost first.
+Fresh names are numbered past every name of the input (`collect_names`) and
+of each other, so no fresh binder captures a name.
 """
 
 from __future__ import annotations
@@ -313,12 +316,15 @@ class Desugarer:
         return BOT if t is None else t
 
     def template_type(self, t: ServerTemplate) -> SrvT:
-        entries: dict[str, SvcT] = {}
-        for r in t.rules:
-            for p in r.patterns:
-                svc = SvcT(tuple(self.expand_type(a, t.loc) for _, a in p.params))
-                entries.setdefault(p.service, svc)
-        return SrvT(tuple(entries.items()))
+        return _server_type(self._patterns(t))
+
+    def _patterns(self, t: ServerTemplate) -> list[tuple[JoinPattern, ...]]:
+        """Each rule's join patterns with their parameter types expanded."""
+        expand = self.expand_type
+        return [
+            tuple(JoinPattern(p.service, tuple((n, expand(a, t.loc)) for n, a in p.params)) for p in r.patterns)
+            for r in t.rules
+        ]
 
     # -- main lowering --------------------------------------------------------
 
@@ -337,33 +343,15 @@ class Desugarer:
                 e.loc,
             )
         if isinstance(e, ServerTemplate):
-            ttype = self.template_type(e)
+            pats = self._patterns(e)
+            this = {} if e.transparent_this else {THIS: InstT(_server_type(pats))}
             rules = []
-            for r in e.rules:
-                pats = tuple(
-                    JoinPattern(p.service, tuple((n, self.expand_type(t, e.loc)) for n, t in p.params))
-                    for p in r.patterns
-                )
-                ext = {n: t for p in pats for n, t in p.params}
-                if not e.transparent_this:
-                    ext[THIS] = InstT(ttype)
-                rules.append(ReactionRule(pats, self.desugar(r.body, {**env, **ext})))
+            for ps, r in zip(pats, e.rules):
+                params = {n: t for p in ps for n, t in p.params}
+                rules.append(ReactionRule(ps, self.desugar(r.body, {**env, **params, **this})))
             return ServerTemplate(tuple(rules), e.transparent_this, loc=e.loc)
         if isinstance(e, Request):
-            callee = self.desugar_value(e.callee, env)
-            args = [self.desugar_value(a, env) for a in e.args]
-            if isinstance(callee, SApply):
-                t = self.synth(callee, env)
-                if t is None:
-                    raise DesugarError("cannot determine the callee type of this request", e.loc)
-                v = self.fresh("v")
-                inner = self.desugar(Request(Var(v), tuple(args), loc=e.loc), {**env, v: t})
-                wrapper = self._wrapper("k", ((v, t),), inner)
-                return self.cps(callee, ServiceRef(Spwn(wrapper), "k", loc=e.loc), env)
-            lifted = self._lift_applies(callee, args, env, e.loc)
-            if lifted is not None:
-                return lifted
-            return Request(callee, tuple(args), loc=e.loc)
+            return self._request(e, env, e.loc)
         if isinstance(e, TypeAbs):
             bound = self.expand_type(e.bound, e.loc)
             return TypeAbs(e.var, bound, self.desugar(e.body, {**env, _BOUND + e.var: bound}), loc=e.loc)
@@ -375,39 +363,38 @@ class Desugarer:
             kids.append(self.desugar(c, env))
         return shape.rebuild(e, kids)
 
-    def desugar_value(self, e: Expr, env: TypeEnv) -> Expr:
-        """Desugar an expression in argument position; applications are kept
-        for the caller to lift."""
-        if isinstance(e, SApply):
-            return e
-        return self.desugar(e, env)
+    def _request(self, e: Request, env: TypeEnv, loc: Loc | None, *k: Expr) -> Expr:
+        """The request e, with the continuation k appended when given: callee
+        and arguments lowered, and applications among them lifted."""
+        parts = [a if isinstance(a, SApply) else self.desugar(a, env) for a in (e.callee, *e.args)]
+        return self._lift_applies((*parts, *k), env, loc)
 
-    def _lift_applies(self, callee: Expr, args: list[Expr], env: TypeEnv, loc: Loc | None) -> Optional[Expr]:
-        """If a request argument is an application, CPS-lift the leftmost one."""
-        for i, a in enumerate(args):
+    def _lift_applies(self, parts: tuple[Expr, ...], env: TypeEnv, loc: Loc | None) -> Expr:
+        """The request of parts[0] with arguments parts[1:]; the leftmost
+        application among them is CPS-lifted, then the others, left to right."""
+        for i, a in enumerate(parts):
             if isinstance(a, SApply):
                 t = self.synth(a, env)
                 if t is None:
+                    if i == 0:
+                        raise DesugarError("cannot determine the callee type of this request", loc)
                     raise DesugarError(
                         "cannot determine the result type of this application; "
                         "bind it with letk and an annotation",
                         a.loc,
                     )
                 v = self.fresh("v")
-                inner_args = list(args)
-                inner_args[i] = Var(v)
-                inner = self._lift_applies(callee, inner_args, env, loc)
-                if inner is None:
-                    inner = Request(callee, tuple(inner_args), loc=loc)
+                inner = self._lift_applies((*parts[:i], Var(v), *parts[i + 1 :]), env, loc)
                 wrapper = self._wrapper("k", ((v, t),), inner)
-                k = ServiceRef(Spwn(wrapper), "k", loc=loc)
-                return self.cps(a, k, env)
-        return None
+                return self.cps(a, ServiceRef(Spwn(wrapper), "k", loc=loc), env)
+        return Request(parts[0], parts[1:], loc=loc)
 
-    def _wrapper(self, svc: str, params: tuple[tuple[str, TypeExpr], ...], body: Expr) -> ServerTemplate:
+    def _wrapper(
+        self, svc: str, params: tuple[tuple[str, TypeExpr], ...], body: Expr, loc: Loc | None = None
+    ) -> ServerTemplate:
         transparent = THIS in free_vars(body)
         rule = ReactionRule((JoinPattern(svc, params),), body)
-        return ServerTemplate((rule,), transparent)
+        return ServerTemplate((rule,), transparent, loc=loc)
 
     def _let(self, e: SLet, env: TypeEnv) -> Expr:
         ann = self.expand_type(e.ann, e.loc) if e.ann else None
@@ -445,12 +432,7 @@ class Desugarer:
         if isinstance(e.rhs, SApply):
             return self.cps(e.rhs, target, env)
         if isinstance(e.rhs, Request):
-            callee = self.desugar_value(e.rhs.callee, env)
-            args = [self.desugar_value(a, env) for a in e.rhs.args] + [target]
-            lifted = self._lift_applies(callee, args, env, e.loc)
-            if lifted is not None:
-                return lifted
-            return Request(callee, tuple(args), loc=e.loc)
+            return self._request(e.rhs, env, e.loc, target)
         raise DesugarError("letk right-hand side must be a service request or application", e.loc)
 
     def _lambda(self, e: SLambda, env: TypeEnv) -> Expr:
@@ -459,12 +441,7 @@ class Desugarer:
         k = self.fresh("k")
         inner_env = {**env, **dict(params)}
         body = self.cps(e.body, Var(k), inner_env)
-        rule = ReactionRule(
-            (JoinPattern("app", params + ((k, SvcT((ret,))),)),),
-            body,
-        )
-        transparent = THIS in free_vars(body)
-        return Spwn(ServerTemplate((rule,), transparent, loc=e.loc), loc=e.loc)
+        return Spwn(self._wrapper("app", params + ((k, SvcT((ret,))),), body, e.loc), loc=e.loc)
 
     def _thunk(self, e: SThunk, env: TypeEnv) -> Expr:
         if e.ann is not None:
@@ -480,15 +457,10 @@ class Desugarer:
         k = self.fresh("k") if "k" in free_vars_surface(e.body) else "k"
         self.used.add(k)
         if isinstance(e.body, Request):
-            callee = self.desugar_value(e.body.callee, env)
-            args = [self.desugar_value(a, env) for a in e.body.args] + [Var(k)]
-            lifted = self._lift_applies(callee, args, env, e.loc)
-            body: Expr = lifted if lifted is not None else Request(callee, tuple(args), loc=e.loc)
+            body = self._request(e.body, env, e.loc, Var(k))
         else:
             body = self.cps(e.body, Var(k), env)
-        rule = ReactionRule((JoinPattern("force", ((k, SvcT((ann,))),)),), body)
-        transparent = THIS in free_vars(body)
-        return ServerTemplate((rule,), transparent, loc=e.loc)
+        return self._wrapper("force", ((k, SvcT((ann,))),), body, e.loc)
 
     # -- the continuation-passing transform -----------------------------------
 
@@ -526,6 +498,16 @@ class Desugarer:
             wrapper = self._wrapper("k1", ((vf, fn_t),), body)
             return self.cps(e.fn, ServiceRef(Spwn(wrapper), "k1", loc=e.loc), env)
         return Request(k, (self.desugar(e, env),), loc=getattr(e, "loc", None))
+
+
+def _server_type(pats: Sequence[tuple[JoinPattern, ...]]) -> SrvT:
+    """The server type of a template's expanded patterns: each service typed
+    by its first pattern."""
+    entries: dict[str, SvcT] = {}
+    for ps in pats:
+        for p in ps:
+            entries.setdefault(p.service, SvcT(tuple(t for _, t in p.params)))
+    return SrvT(tuple(entries.items()))
 
 
 # The immediate subterms of each surface form, each with the names bound

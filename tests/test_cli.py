@@ -284,3 +284,26 @@ def test_trace_matches_golden_file(examples, capsys):
     golden = pathlib.Path(__file__).parent / "golden" / "fact_trace.txt"
     assert main(["trace", examples["fact.cpl"], "--no-prelude", "--seed", "1"]) == 0
     assert capsys.readouterr().out == golden.read_text()
+
+
+def test_trace_step_limit_exits_two(examples, capsys):
+    assert main(["trace", examples["wordcount.cpl"], "--max-steps", "10"]) == 2
+    assert capsys.readouterr().err == "step limit reached\n"
+
+
+@pytest.mark.parametrize(
+    "data,shown",
+    [
+        ({"a": 1, "b": 2, "c": 3}, [["a", 1], ["b", 2], ["c", 3]]),  # an association list
+        (True, True),
+    ],
+    ids=["object", "boolean"],
+)
+@pytest.mark.parametrize("engine", ["smallstep", "concurrent"])
+def test_run_with_json_object_and_boolean_input(tmp_path, capsys, engine, data, shown):
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps(data))
+    prog = tmp_path / "echo.cpl"
+    prog.write_text("result<input>\n")
+    assert main(["run", str(prog), "--no-prelude", "--engine", engine, "--input", str(inp)]) == 0
+    assert capsys.readouterr().out == json.dumps({"service": "result", "args": [shown]}) + "\n"

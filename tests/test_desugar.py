@@ -19,8 +19,10 @@ from cpl.core import (
     THIS,
     Top,
     Var,
+    children,
     free_vars,
 )
+from cpl.cli import main
 from cpl.desugar import cps_transform, desugar_program
 from cpl.errors import DesugarError
 from cpl.machine import COMPLETED
@@ -335,3 +337,97 @@ def test_stdlib_annotations_and_names_are_reused_across_loads(monkeypatch):
     assert printed[0] == printed[1] == printed[2]
     assert substitutions[1] == substitutions[2] <= 10
     assert walked[1] == walked[2] == 0
+
+
+# -- request lowering -----------------------------------------------------------
+
+DIAGNOSTICS = [
+    ("def f = \\(n: Int) -> Int. n;\nf(1)\n",
+     "2:2: a bare application discards its result; bind it with letk or pass a continuation"),
+    ("g(1)<2>\n", "1:5: cannot determine the callee type of this request"),
+    ("result<g(1)>\n",
+     "1:9: cannot determine the result type of this application; bind it with letk and an annotation"),
+    ("letk (x: Int) = g(1) in result<x>\n", "1:18: cannot determine the function type of this application target"),
+    ("def f = \\(n: Int) -> Int. n;\nletk (x: Int) = f(y) in result<x>\n",
+     "2:18: cannot determine an argument type in this application"),
+    ("(spwn (thunk y))#force<result>\n", "1:8: thunk needs a result type: thunk[T] e"),
+    ("type A = Int;\ntype A = Int;\npar\n", "2:1: duplicate type alias 'A'"),
+]
+
+
+@pytest.mark.parametrize("src,message", DIAGNOSTICS, ids=[m.split(": ", 1)[1][:32] for _, m in DIAGNOSTICS])
+def test_desugar_diagnostic_and_position(tmp_path, capsys, src, message):
+    f = tmp_path / "bad.cpl"
+    f.write_text(src)
+    assert main(["check", "--no-prelude", str(f)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# `f` returns a service; `f(3)` stands as the callee of a request.
+APPLIED = """
+def cell = spwn srv { get<k: <Int>> :> k<7> };
+def f = \\(n: Int) -> <<Int>> . cell#get;
+"""
+APPLIED_CALLEE = APPLIED + "f(3)<result>\n"
+APPLIED_IN_LETK = APPLIED + "letk (y: Int) = f(3)<> in result<y>\n"
+APPLIED_IN_THUNK = APPLIED + "(spwn (thunk[Int] f(3)<>))#force<result>\n"
+
+
+def test_desugar_applied_callee_golden(tmp_path, capsys):
+    f = tmp_path / "callee.cpl"
+    f.write_text(APPLIED_CALLEE)
+    assert main(["desugar", str(f)]) == 0
+    assert capsys.readouterr().out == (
+        "(spwn (srv { let<cell: inst srv { get: <<Int>> }> :> (spwn (srv { let<f: inst srv { app: "
+        "<Int, <<<Int>>>> }> :> (spwn (srv { k1<vf%1: inst srv { app: <Int, <<<Int>>>> }> :> "
+        "(spwn (srv { k2<v%2: Int> :> vf%1#app<v%2, (spwn (srv { k<v%1: <<Int>>> :> v%1<result> }))#k> }))"
+        "#k2<3> }))#k1<f> }))#let<spwn (srv { app<n: Int, k%1: <<<Int>>>> :> k%1<cell#get> })> }))"
+        "#let<spwn (srv { get<k: <Int>> :> k<7> })>\n"
+    )
+
+
+@pytest.mark.parametrize("engine", ["smallstep", "concurrent"])
+@pytest.mark.parametrize("src", [APPLIED_IN_LETK, APPLIED_IN_THUNK], ids=["letk", "thunk"])
+def test_applied_callee_in_letk_and_thunk_runs(tmp_path, capsys, src, engine):
+    f = tmp_path / "applied.cpl"
+    f.write_text(src)
+    assert main(["run", str(f), "--no-prelude", "--engine", engine]) == 0
+    assert capsys.readouterr().out == '{"service": "result", "args": [7]}\n'
+
+
+@pytest.mark.parametrize("src", [APPLIED_IN_LETK, APPLIED_IN_THUNK], ids=["letk", "thunk"])
+def test_applied_callee_in_letk_and_thunk_desugars(tmp_path, capsys, src):
+    f = tmp_path / "applied.cpl"
+    f.write_text(src)
+    assert main(["desugar", str(f)]) == 0
+    core = tmp_path / "core.cpl"
+    core.write_text(capsys.readouterr().out)
+    assert main(["run", str(core), "--no-prelude"]) == 0
+    assert capsys.readouterr().out == '{"service": "result", "args": [7]}\n'
+
+
+EXAMPLES = ["fact.cpl", "stuck.cpl", "supervision_demo.cpl", "wordcount.cpl", "wordcount_ft.cpl", "wordcount_lb.cpl"]
+
+
+def surface_nodes(e):
+    """The surface-only nodes left in e, rule bodies of templates included."""
+    todo, found = [e], []
+    while todo:
+        x = todo.pop()
+        if isinstance(x, (SLet, SLetK, SLambda, SApply, SThunk)):
+            found.append(x)
+        elif isinstance(x, ServerTemplate):
+            todo.extend(r.body for r in x.rules)
+        else:
+            todo.extend(children(x))
+    return found
+
+
+@pytest.mark.parametrize(
+    "src,prelude",
+    [(tc.example_source(n), True) for n in EXAMPLES]
+    + [(APPLIED_CALLEE, False), (APPLIED_IN_LETK, False), (APPLIED_IN_THUNK, False)],
+    ids=EXAMPLES + ["applied-callee", "applied-letk", "applied-thunk"],
+)
+def test_no_surface_node_survives_lowering(src, prelude):
+    assert surface_nodes(load(src, prelude=prelude).core) == []
