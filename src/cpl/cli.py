@@ -154,16 +154,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("desugar", help="print the desugared core term")
     sp.add_argument("file")
-    sp.add_argument("--prelude", dest="with_prelude", action="store_true")
-    sp.set_defaults(fn=cmd_desugar, no_prelude=True)
+    sp.add_argument("--prelude", dest="no_prelude", action="store_false")
+    sp.set_defaults(fn=cmd_desugar)
 
     return p
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "with_prelude", False):
-        args.no_prelude = False
     try:
         return args.fn(args)
     except LinearityError as exc:

@@ -529,8 +529,6 @@ class Live(ServerImage):
         return f"Live(template={self.template!r}, buffer={self.buffer!r})"
 
 
-INERT = Inert()
-
 RoutingTable = dict[Address, ServerImage]
 
 

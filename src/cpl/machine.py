@@ -40,8 +40,8 @@ snapshots, traces, digests and the typechecker see as before.
 The threaded runtime runs the same rules on another scheduler. It shares
 this module's side conditions (`spawnable`, `address_of`, `timer_due`,
 `instantiate`, `branch`), its table entries (`Live`, `Inert`) and its
-idle-timer rule (`MAX_IDLE_TIMER_ROUNDS`), so an ill-formed redex raises the
-same `StuckError` on both engines.
+idle-timer rule (`TimerRounds`), so an ill-formed redex raises the
+same `StuckError` on both engines and both fire the same timer rounds.
 """
 
 from __future__ import annotations
@@ -95,12 +95,29 @@ from .pretty import pretty_expr
 
 Observation = tuple[int, str, tuple[Expr, ...]]
 
-# When nothing else can move but timers are armed, time jumps to the next
-# deadline and the timers due then fire. A round that adds neither an
-# observation nor a replacement is idle; a run stops after this many idle
-# rounds in a row, which bounds re-arming loops (the recovery combinator
-# re-arms its check forever).
+# `TimerRounds` stops a run after this many idle timer rounds in a row, which
+# bounds re-arming loops (the recovery combinator re-arms its check forever).
 MAX_IDLE_TIMER_ROUNDS = 6
+
+
+class TimerRounds:
+    """The idle-timer rule of both engines. Whenever nothing else can move
+    but timers are armed, ask `fire`, with the count of observations and
+    replacements so far, whether time jumps to the next deadline to deliver
+    the timers due then. The stretch before each question (from the start,
+    for the first) is idle if it added neither; a round fires unless the
+    `MAX_IDLE_TIMER_ROUNDS` stretches that end at the previous question
+    were all idle."""
+
+    def __init__(self) -> None:
+        self.idle, self.progress = 0, (0, 0)
+
+    def fire(self, progress: tuple[int, int]) -> bool:
+        if self.idle >= MAX_IDLE_TIMER_ROUNDS:
+            return False
+        self.idle = self.idle + 1 if progress == self.progress else 0
+        self.progress = progress
+        return True
 
 
 @dataclass
@@ -756,20 +773,16 @@ def run(
     record_trace: bool = True,
 ) -> RunResult:
     """Iterate step until completion, quiescence, or the step limit. Timers
-    fire by the rule at `MAX_IDLE_TIMER_ROUNDS`."""
+    fire by the rule of `TimerRounds`."""
     trace = Trace()
     current = config
-    idle_rounds = 0
-    progress = (0, 0)
+    rounds = TimerRounds()
     for _ in range(max_steps):
         s = step(current, policy)
         if s is None:
-            now_progress = (len(current.observations), current.replaces)
-            if not current.timers or idle_rounds >= MAX_IDLE_TIMER_ROUNDS:
+            if not current.timers or not rounds.fire((len(current.observations), current.replaces)):
                 status = COMPLETED if _completed(current) else QUIESCENT
                 return RunResult(current, trace, status)
-            idle_rounds = idle_rounds + 1 if now_progress == progress else 0
-            progress = now_progress
             fired = fire_next_timers(current)
             s = Stepped(fired, "Timer", f"t={fired.logical_time}")
         if record_trace:

@@ -23,11 +23,13 @@ and a Repl drops the captured bindings with the template. The results are
 the same: any other value that still has free variables is closed by
 substitution when it escapes the firing (sent, observed, installed, held in
 an image or type abstraction, or returned to an enclosing operation).
+
+`await_quiescence` settles the pool once per timer round; whether another
+round fires is the machine's idle-timer rule, `machine.TimerRounds`.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import json
 import threading
@@ -72,7 +74,7 @@ from .core import (
 )
 from .errors import MachineError
 from .machine import (
-    MAX_IDLE_TIMER_ROUNDS,
+    TimerRounds,
     address_of,
     branch,
     deterministic,
@@ -144,12 +146,7 @@ class _Tracker:
 
     def wait_zero(self, deadline: float) -> bool:
         with self._cv:
-            while self._n > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cv.wait(min(remaining, 0.1))
-            return True
+            return self._cv.wait_for(lambda: self._n == 0, deadline - time.monotonic())
 
 
 @dataclass
@@ -184,7 +181,7 @@ class Runtime:
         self._clock_lock = threading.Lock()
         self._vclock = 0
         self._t0 = time.monotonic()
-        self._timers: list[tuple[int, int, Expr]] = []  # (due, seq, continuation)
+        self._timers: list[tuple[int, int, Expr]] = []  # (due, seq, continuation), unordered
         self._timer_seq = itertools.count()
         self._errors: list[BaseException] = []  # appended under _fault_lock
         self._fault_lock = threading.Lock()
@@ -202,7 +199,7 @@ class Runtime:
         while True:
             with self._qlock:
                 while not self._queue and not self._stop:
-                    self._qlock.wait(0.1)
+                    self._qlock.wait()
                 if self._stop and not self._queue:
                     return
                 task = self._queue.popleft()
@@ -296,42 +293,31 @@ class Runtime:
             self._schedule_pump(inst)
 
     def await_quiescence(self, timeout_ms: int = 30_000) -> ObservationLog:
-        """Block until no rule can fire and nothing is in transit. Timers
-        fire by the rule at `machine.MAX_IDLE_TIMER_ROUNDS`; the clock jumps
-        to a deadline only in virtual-time mode, else the wait is real."""
+        """Block until no rule can fire and nothing is in transit, firing
+        timer rounds by `machine.TimerRounds`. The clock jumps to a deadline
+        only in virtual-time mode, else the wait is real."""
         deadline = time.monotonic() + timeout_ms / 1000.0
-        idle_rounds = 0
-        self.timed_out = False
+        rounds = TimerRounds()
         while True:
-            if not self._tracker.wait_zero(deadline):
-                self.timed_out = True
-                self._raise_pending_error()
+            self.timed_out = not self._tracker.wait_zero(deadline)
+            if self._errors:  # only ever appended to, so the check stays true
+                raise self._errors[0]
+            if self.timed_out:
                 break
-            self._raise_pending_error()
             with self._clock_lock:
-                timers = sorted(self._timers)
-            if not timers:
+                due = min(self._timers)[0] if self._timers else None
+            if due is None or not rounds.fire((len(self.log), len(self.replace_log))):
                 break
-            if idle_rounds >= MAX_IDLE_TIMER_ROUNDS:
-                break
-            progress_before = (len(self.log), len(self.replace_log))
-            due = timers[0][0]
             if not self.virtual_time:
-                now = self.local_time()
-                if due > now:
-                    wait = min(due - now, max(0, int((deadline - time.monotonic()) * 1000)))
+                wait = due - self.local_time()
+                if wait > 0:
+                    wait = min(wait, int((deadline - time.monotonic()) * 1000))
                     if wait <= 0:
                         self.timed_out = True
                         break
                     time.sleep(wait / 1000.0)
-            self._fire_due(due if self.virtual_time else self.local_time())
-            if not self._tracker.wait_zero(deadline):
-                self.timed_out = True
-                self._raise_pending_error()
-                break
-            self._raise_pending_error()
-            progress_after = (len(self.log), len(self.replace_log))
-            idle_rounds = idle_rounds + 1 if progress_after == progress_before else 0
+                due = self.local_time()
+            self._fire_due(due)
         return self.log
 
     def advance_virtual(self, ms: int) -> None:
@@ -351,10 +337,6 @@ class Runtime:
             self._timers = [t for t in self._timers if t[0] > now]
         for _, _, k in sorted(ready):
             self._submit(lambda k=k: self._eval(Request(k, ()), {}))
-
-    def _raise_pending_error(self) -> None:
-        if self._errors:  # only ever appended to, so the check stays true
-            raise self._errors[0]
 
     def pending_summary(self) -> list[tuple[Address, MessageValue]]:
         out = []
@@ -381,21 +363,17 @@ class Runtime:
         return inst
 
     def _schedule_pump(self, inst: _Instance) -> None:
-        inline = False
-        if inst.address.placement is Placement.LOCAL:
-            depth = getattr(self._local_depth, "n", 0)
-            if depth < _INLINE_DEPTH_LIMIT:
-                inline = True
         with inst.lock:
             if inst.scheduled:
                 return
             inst.scheduled = True
-        if inline:
-            self._local_depth.n = getattr(self._local_depth, "n", 0) + 1
+        depth = getattr(self._local_depth, "n", 0)
+        if inst.address.placement is Placement.LOCAL and depth < _INLINE_DEPTH_LIMIT:
+            self._local_depth.n = depth + 1
             try:
                 self._pump(inst)
             finally:
-                self._local_depth.n -= 1
+                self._local_depth.n = depth
         else:
             self._submit(lambda: self._pump(inst))
 
@@ -404,7 +382,8 @@ class Runtime:
             with inst.lock:
                 fired = None
                 entry, captured = inst.entry, inst.captured
-                if isinstance(entry, Live):
+                # No firing starts after shutdown, so a self-sending rule ends.
+                if isinstance(entry, Live) and not self._stop:
                     for rule in entry.template.rules:
                         m = match_patterns(rule.patterns, entry.mailbox, _MATCH_POLICY)
                         if m is not None:
@@ -456,7 +435,7 @@ class Runtime:
                 if callee.name == "timer":
                     due = timer_due(args[0], self.local_time())
                     with self._clock_lock:
-                        heapq.heappush(self._timers, (due, next(self._timer_seq), args[1]))
+                        self._timers.append((due, next(self._timer_seq), args[1]))
                     return Par(())
                 self.log.append(Observation(self.local_time(), callee.name, args))
                 return Par(())

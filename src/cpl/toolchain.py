@@ -26,7 +26,7 @@ from .core import (
 from .desugar import desugar_program
 from .errors import CplError
 from .parser import Program, parse
-from .typecheck import LocationTyping, TypeContext, context_from, type_of
+from .typecheck import LocationTyping, TypeCheckError, TypeContext, context_from, type_of
 
 if TYPE_CHECKING:
     from .machine import RunResult
@@ -106,7 +106,11 @@ def load_program(
         merged = Program(merged.aliases, merged.defs, Par(()))
     env = dict(BASE_ENV)
     if input_value is not None:
-        env["input"] = check_expr(input_value, {})
+        try:
+            env["input"] = check_expr(input_value, {})
+        except TypeCheckError as exc:
+            msg = f"the --input value does not type: {exc.msg}"
+            raise TypeCheckError(exc.kind, msg, None, exc.expected, exc.actual) from exc
     core = desugar_program(merged, env)
     if input_value is not None:
         core = substitute(core, {"input": input_value})

@@ -370,14 +370,7 @@ def _type_of_template(ctx: TypeContext, sigma: LocationTyping, e: ServerTemplate
     entries: dict[str, SvcT] = {}
     loc = getattr(e, "loc", None)
     for r in e.rules:
-        seen: set[str] = set()
         for p in r.patterns:
-            for n in p.param_names:
-                if n in seen:
-                    raise TypeCheckError(
-                        "NonLinearPattern", f"parameter {n!r} bound twice in a rule", loc
-                    )
-                seen.add(n)
             svc = SvcT(tuple(t for _, t in p.params))
             prev = entries.get(p.service)
             if prev is None:

@@ -1,4 +1,6 @@
 import contextlib
+import threading
+import time
 
 import pytest
 from hypothesis import settings
@@ -18,6 +20,25 @@ def Fact = srv {
   res<r: Int> & out<k: <Int>> :> k<r>
 };
 """
+
+
+def pool_threads_left(before):
+    """The `cpl-rt-*` threads not in `before` that are still alive after
+    joining them for up to 5 s in all."""
+    deadline = time.monotonic() + 5.0
+    pool = [t for t in threading.enumerate() if t.name.startswith("cpl-rt-") and t not in before]
+    for t in pool:
+        t.join(max(0.0, deadline - time.monotonic()))
+    return [t for t in pool if t.is_alive()]
+
+
+@pytest.fixture(autouse=True)
+def runtime_pools_stop():
+    """Fail a test that leaves a runtime's pool running 5 s after it ends."""
+    before = set(threading.enumerate())
+    yield
+    if left := pool_threads_left(before):
+        pytest.fail(f"{len(left)} runtime pool threads still alive 5 s after the test")
 
 
 def load(text, prelude=False, input_value=None):

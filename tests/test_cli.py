@@ -307,3 +307,16 @@ def test_run_with_json_object_and_boolean_input(tmp_path, capsys, engine, data, 
     prog.write_text("result<input>\n")
     assert main(["run", str(prog), "--no-prelude", "--engine", engine, "--input", str(inp)]) == 0
     assert capsys.readouterr().out == json.dumps({"service": "result", "args": [shown]}) + "\n"
+
+
+def test_run_names_an_input_value_that_does_not_type(tmp_path, capsys):
+    """An object whose values differ in type is an association list of no
+    one type; the diagnostic says the input failed, not the program."""
+    inp = tmp_path / "input.json"
+    inp.write_text(json.dumps({"a": 1, "b": "x"}))
+    prog = tmp_path / "echo.cpl"
+    prog.write_text("result<input>\n")
+    assert main(["run", str(prog), "--no-prelude", "--input", str(inp)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("type error: NotASubtype: the --input value does not type: ")
+    assert err.count("\n") == 1

@@ -31,7 +31,7 @@ from cpl.core import (
 from cpl.errors import MachineError
 from cpl.parser import parse_expr
 from cpl.runtime import Runtime, boot, value_to_json
-from conftest import cc_obs, run_cc
+from conftest import cc_obs, pool_threads_left, run_cc, run_ss, ss_obs
 
 HOT_INSTANCE = Path(__file__).resolve().parent.parent / "perfbench" / "programs" / "hot_instance.cpl"
 
@@ -202,6 +202,33 @@ def test_virtual_time_advances_only_on_timers():
         virtual=True,
     ) as rt:
         assert cc_obs(rt) == [250]
+
+
+# Each timer round delivers one tick 10 ms on and the rule re-arms it, so
+# the clock counts the rounds fired.
+TICKER = (
+    "def T = spwn srv {{ tick<> & n<c: Int> :>"
+    " if c >= 6 then result<c> else (this#n<c + 1> || timer<10, this#tick>) }};"
+    " {first}T#n<0> || timer<10, T#tick>"
+)
+
+
+@pytest.mark.parametrize("engine", ["smallstep", "concurrent"])
+@pytest.mark.parametrize(
+    "first, results, rounds",
+    [("result<0> || ", [0, 6], 7), ("", [], 6)],
+    ids=["observes-first", "observes-nothing"],
+)
+def test_both_engines_fire_the_same_timer_rounds(engine, first, results, rounds):
+    """The stretch before the first round is idle only if it observed
+    nothing; after an observation a seventh round runs and sees c = 6."""
+    text = TICKER.format(first=first)
+    if engine == "smallstep":
+        result = run_ss(text)
+        assert (ss_obs(result), result.final.logical_time) == (results, 10 * rounds)
+    else:
+        with run_cc(text, prelude=False, virtual=True) as rt:
+            assert (cc_obs(rt), rt.local_time()) == (results, 10 * rounds)
 
 
 def test_timer_delay_rejects_bool_on_both_engines():
@@ -423,10 +450,7 @@ def test_cli_run_of_an_open_program_exits_four(tmp_path, capsys, monkeypatch):
     before = set(threading.enumerate())
     assert main(["run", str(f), "--no-prelude", "--engine=concurrent", "--virtual-time"]) == 4
     assert "cannot evaluate open expression" in capsys.readouterr().err
-    pool = [t for t in threading.enumerate() if t.name.startswith("cpl-rt-") and t not in before]
-    for t in pool:
-        t.join(5.0)
-    assert not any(t.is_alive() for t in pool)
+    assert not pool_threads_left(before)
 
 
 def test_firings_substitute_nothing_into_rule_bodies(monkeypatch):
@@ -548,8 +572,18 @@ def test_concurrent_cli_run_stops_its_pool_threads(tmp_path, capsys):
     before = set(threading.enumerate())
     assert main(["run", str(f), "--no-prelude", "--engine=concurrent"]) == 0
     assert capsys.readouterr().out.strip() == '{"service": "result", "args": [1]}'
-    pool = [t for t in threading.enumerate() if t.name.startswith("cpl-rt-") and t not in before]
-    assert pool
-    for t in pool:
-        t.join(5.0)
-    assert not any(t.is_alive() for t in pool)
+    assert any(t.name.startswith("cpl-rt-") and t not in before for t in threading.enumerate())
+    assert not pool_threads_left(before)
+
+
+def test_shutdown_stops_a_rule_that_sends_to_its_own_instance(tmp_path, capsys):
+    """The run times out with the rule still firing; after shutdown no
+    firing starts, so the pool stops."""
+    from cpl.cli import main
+
+    f = tmp_path / "spin.cpl"
+    f.write_text("def A = spwn srv { a<> :> this#a<> }; A#a<>")
+    before = set(threading.enumerate())
+    assert main(["run", str(f), "--no-prelude", "--engine=concurrent", "--timeout-ms", "300"]) == 2
+    assert capsys.readouterr().err == "timeout reached\n"
+    assert not pool_threads_left(before)
