@@ -14,7 +14,6 @@ import sys
 from typing import Optional
 
 from . import toolchain
-from .core import Expr
 from .errors import CplError, DesugarError, LinearityError, MachineError, ParseError
 from .pretty import pretty_expr, pretty_message, pretty_type, value_to_json
 from .typecheck import TypeCheckError
@@ -31,11 +30,15 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _load(args, input_value: Optional[Expr] = None) -> toolchain.Loaded:
+def _load(args) -> toolchain.Loaded:
+    """The program, with the `--input` value bound if the command has the
+    flag and it is given."""
+    input_value = None
+    if getattr(args, "input", None):
+        with open(args.input, "r", encoding="utf-8") as f:
+            input_value = toolchain.json_to_value(json.load(f))
     text = _read(args.file)
-    return toolchain.load_program(
-        text, include_prelude=not args.no_prelude, input_value=input_value
-    )
+    return toolchain.load_program(text, include_prelude=not args.no_prelude, input_value=input_value)
 
 
 def _observation_lines(observations) -> str:
@@ -59,13 +62,6 @@ def cmd_desugar(args) -> int:
     return EXIT_OK
 
 
-def _ingest(args) -> Optional[Expr]:
-    if not getattr(args, "input", None):
-        return None
-    with open(args.input, "r", encoding="utf-8") as f:
-        return toolchain.json_to_value(json.load(f))
-
-
 def _pending_diagnostic(pending) -> str:
     if not pending:
         return "quiescent: undelivered requests remain in transit"
@@ -76,8 +72,7 @@ def _pending_diagnostic(pending) -> str:
 
 
 def cmd_run(args) -> int:
-    input_value = _ingest(args)
-    loaded = _load(args, input_value)
+    loaded = _load(args)
     toolchain.check_expr(loaded.core, loaded.env)
     if args.engine == "smallstep":
         from . import machine
@@ -132,12 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("file")
         sp.add_argument("--no-prelude", action="store_true", help="do not load the stdlib prelude")
         if runnable:
-            sp.add_argument("--engine", choices=("smallstep", "concurrent"), default="smallstep")
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--max-steps", type=int, default=500_000)
-            sp.add_argument("--timeout-ms", type=int, default=30_000)
             sp.add_argument("--input", default=None, help="JSON file bound to the `input` variable")
-            sp.add_argument("--virtual-time", action="store_true")
 
     sp = sub.add_parser("check", help="parse, desugar and typecheck")
     common(sp)
@@ -145,6 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run", help="typecheck then execute")
     common(sp, runnable=True)
+    sp.add_argument("--engine", choices=("smallstep", "concurrent"), default="smallstep")
+    sp.add_argument("--timeout-ms", type=int, default=30_000)
+    sp.add_argument("--virtual-time", action="store_true")
     sp.set_defaults(fn=cmd_run)
 
     sp = sub.add_parser("trace", help="run the small-step engine and print the trace")

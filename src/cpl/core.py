@@ -840,15 +840,21 @@ def _subst_template(t: ServerTemplate, s: dict[str, Expr]) -> ServerTemplate:
     return ServerTemplate(tuple(new_rules), t.transparent_this, loc=t.loc)
 
 
-# The free names a program sends its observations to. They and `timer` are
-# the engine endpoints.
-OBSERVERS = ("result", "event", "print")
+# The engine endpoints and their types: the observer sinks a program sends
+# its observations to, and `timer`, which delivers its continuation after a
+# delay in ms.
+ENDPOINTS: dict[str, TypeExpr] = {
+    "result": SvcT((TOP,)),
+    "event": SvcT((TOP,)),
+    "print": SvcT((TOP,)),
+    "timer": SvcT((INT, SvcT(()))),
+}
 
 
 def wire_observers(core: Expr) -> Expr:
-    """Close a program over the engine endpoints: its free observer names
-    and `timer` become external references."""
-    names = {n: ExternalRef(n) for n in free_vars(core) if n in OBSERVERS or n == "timer"}
+    """Close a program over the engine endpoints: its free endpoint names
+    become external references."""
+    names = {n: ExternalRef(n) for n in free_vars(core) if n in ENDPOINTS}
     return substitute(core, names) if names else core
 
 

@@ -62,7 +62,7 @@ from .core import (
 )
 from .errors import DesugarError, Loc
 from .parser import Program, SApply, SLambda, SLet, SLetK, SThunk
-from .typecheck import TypeCheckError, TypeContext, join, promote, type_of
+from .typecheck import TypeCheckError, TypeContext, as_image_type, join, promote, type_of
 
 TypeEnv = Mapping[str, TypeExpr]
 
@@ -233,12 +233,8 @@ class Desugarer:
                 ann = self.expand_type(e.ann)
             return SrvT((("force", SvcT((SvcT((ann,)),))),))
         if isinstance(e, Spwn):
-            t = self.synth(e.expr, env)
-            if isinstance(t, ImgT):
-                return InstT(t.inner)
-            if isinstance(t, (SrvT, SrvBot)):
-                return InstT(t)
-            return None
+            img = as_image_type(self.synth(e.expr, env))
+            return InstT(img.inner) if img is not None else None
         if isinstance(e, Image):
             t = self.synth(e.template, env)
             return ImgT(t) if isinstance(t, (SrvT, SrvBot)) else None
@@ -466,8 +462,6 @@ class Desugarer:
 
     def cps(self, e: Expr, k: Expr, env: TypeEnv) -> Expr:
         """T[[e]]k: deliver the value of e to continuation k."""
-        if isinstance(e, SLambda):
-            return Request(k, (self._lambda(e, env),), loc=e.loc)
         if isinstance(e, SApply):
             fn_t = self.synth(e.fn, env)
             if not (isinstance(fn_t, InstT) and isinstance(fn_t.inner, SrvT) and fn_t.inner.get("app")):

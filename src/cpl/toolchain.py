@@ -12,10 +12,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .core import (
-    OBSERVERS,
+    ENDPOINTS,
     BaseLit,
     Expr,
-    ExternalRef,
     ListV,
     Par,
     TupleV,
@@ -26,15 +25,11 @@ from .core import (
 from .desugar import desugar_program
 from .errors import CplError
 from .parser import Program, parse
-from .typecheck import LocationTyping, TypeCheckError, TypeContext, context_from, type_of
+from .typecheck import LocationTyping, TypeCheckError, context_from, type_of
 
 if TYPE_CHECKING:
     from .machine import RunResult
     from .runtime import Runtime
-
-BASE_ENV: dict[str, TypeExpr] = {
-    name: type_of(TypeContext(), {}, ExternalRef(name)) for name in (*OBSERVERS, "timer")
-}
 
 STDLIB_FILES = (
     "prelude.cpl",
@@ -104,7 +99,7 @@ def load_program(
     if merged.main is None:
         # An empty program (or a pure library file) means the unit expression.
         merged = Program(merged.aliases, merged.defs, Par(()))
-    env = dict(BASE_ENV)
+    env = dict(ENDPOINTS)
     if input_value is not None:
         try:
             env["input"] = check_expr(input_value, {})

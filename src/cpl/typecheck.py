@@ -1,9 +1,11 @@
 """Algorithmic typing and subtyping.
 
 The implementation computes minimal types and folds subsumption into the
-checking positions (request arguments, replacement operands, type-application
-bounds, buffered messages). Subtyping is the syntax-directed kernel variant:
-universal bounds must agree, reflexivity and transitivity are admissible.
+checking positions, each through `require_subtype` (parallel components,
+rule bodies, conditions, request arguments, operands, replacement images,
+type-application bounds, buffered messages). Subtyping is the syntax-directed
+kernel variant: universal bounds must agree, reflexivity and transitivity are
+admissible.
 """
 
 from __future__ import annotations
@@ -15,12 +17,12 @@ from .builtins import OPS
 from .core import (
     BOOL,
     BOT,
+    ENDPOINTS,
     FLOAT,
     INT,
     SRV_BOT,
     STRING,
     THIS,
-    TOP,
     UNIT,
     Addr,
     Address,
@@ -199,6 +201,16 @@ def join(ctx: TypeContext, a: TypeExpr, b: TypeExpr, loc: Loc | None, what: str)
     raise TypeCheckError("NotASubtype", f"incompatible types in {what}", loc, expected=a, actual=b)
 
 
+def require_subtype(
+    ctx: TypeContext, got: TypeExpr, want: TypeExpr, loc: Loc | None, msg: str, kind: str = "NotASubtype"
+) -> None:
+    """The subsumption premise of a checking position: got <: want, or a
+    `kind` error. Callers type the term first, so this adds no frame per
+    nesting level of the term."""
+    if not subtype(ctx, got, want):
+        raise TypeCheckError(kind, msg, loc, expected=want, actual=got)
+
+
 # ---------------------------------------------------------------------------
 # Typing
 # ---------------------------------------------------------------------------
@@ -227,17 +239,12 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
             return FLOAT
         return STRING
     if isinstance(e, ExternalRef):
-        if e.name == "timer":
-            return SvcT((INT, SvcT(())))
-        return SvcT((TOP,))
+        # Any other external name is an observer sink, like `result`.
+        return ENDPOINTS.get(e.name, ENDPOINTS["result"])
     if isinstance(e, Par):
         for x in e.exprs:
             t = type_of(ctx, sigma, x)
-            if not subtype(ctx, t, UNIT):
-                raise TypeCheckError(
-                    "NotASubtype", "parallel component must have type Unit",
-                    getattr(x, "loc", loc), expected=UNIT, actual=t,
-                )
+            require_subtype(ctx, t, UNIT, getattr(x, "loc", loc), "parallel component must have type Unit")
         return UNIT
     if isinstance(e, ServerTemplate):
         return _type_of_template(ctx, sigma, e)
@@ -255,18 +262,15 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
         if not isinstance(t1, InstT):
             raise TypeCheckError("NotAnInstance", "repl requires a server instance", loc, actual=t1)
         t2 = promote(ctx, type_of(ctx, sigma, e.image))
-        img2 = _as_image_type(t2)
+        img2 = as_image_type(t2)
         if img2 is None:
             raise TypeCheckError("NotAnImage", "repl requires a server image", loc, actual=t2)
-        if not subtype(ctx, img2, ImgT(t1.inner)):
-            raise TypeCheckError(
-                "NotASubtype", "replacement image must preserve the instance interface",
-                loc, expected=ImgT(t1.inner), actual=img2,
-            )
+        want = ImgT(t1.inner)
+        require_subtype(ctx, img2, want, loc, "replacement image must preserve the instance interface")
         return UNIT
     if isinstance(e, Spwn):
         t = promote(ctx, type_of(ctx, sigma, e.expr))
-        img = _as_image_type(t)
+        img = as_image_type(t)
         if img is None:
             raise TypeCheckError("NotAnImage", "spwn requires a server image or template", loc, actual=t)
         return InstT(img.inner)
@@ -281,14 +285,10 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
         if not isinstance(t, InstT):
             raise TypeCheckError("NotAnInstance", "service selection needs a server instance", loc, actual=t)
         inner = promote(ctx, t.inner)
-        if isinstance(inner, SrvT):
-            svc = inner.get(e.service)
-            if svc is None:
-                raise TypeCheckError(
-                    "ServiceNotFound", f"service {e.service!r} not provided", loc, actual=inner
-                )
-            return svc
-        raise TypeCheckError("ServiceNotFound", f"service {e.service!r} not provided", loc, actual=inner)
+        svc = inner.get(e.service) if isinstance(inner, SrvT) else None
+        if svc is None:
+            raise TypeCheckError("ServiceNotFound", f"service {e.service!r} not provided", loc, actual=inner)
+        return svc
     if isinstance(e, Request):
         t = promote(ctx, type_of(ctx, sigma, e.callee))
         if not isinstance(t, SvcT):
@@ -301,11 +301,7 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
             )
         for a, want in zip(e.args, t.args):
             got = type_of(ctx, sigma, a)
-            if not subtype(ctx, got, want):
-                raise TypeCheckError(
-                    "NotASubtype", "request argument has the wrong type",
-                    getattr(a, "loc", loc), expected=want, actual=got,
-                )
+            require_subtype(ctx, got, want, getattr(a, "loc", loc), "request argument has the wrong type")
         return UNIT
     if isinstance(e, TypeAbs):
         inner = type_of(ctx.extend_tvar(e.var, e.bound), sigma, e.body)
@@ -316,10 +312,7 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
             raise TypeCheckError("NotAUniversal", "type application needs a universal", loc, actual=t)
         if not free_type_vars(e.arg) <= ctx.tvar_names():
             raise TypeCheckError("EscapingTypeVar", "type argument mentions unbound type variables", loc)
-        if not subtype(ctx, e.arg, t.bound):
-            raise TypeCheckError(
-                "NotASubtype", "type argument violates the bound", loc, expected=t.bound, actual=e.arg
-            )
+        require_subtype(ctx, e.arg, t.bound, loc, "type argument violates the bound")
         return substitute_type_in_type(t.body, {t.var: e.arg})
     if isinstance(e, BaseOp):
         ts = [type_of(ctx, sigma, x) for x in e.operands]
@@ -331,8 +324,7 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
         return op.rule(_Checked(ctx, e.op, loc, ts))
     if isinstance(e, If):
         ct = type_of(ctx, sigma, e.cond)
-        if not subtype(ctx, ct, BOOL):
-            raise TypeCheckError("NotASubtype", "condition must be Bool", loc, expected=BOOL, actual=ct)
+        require_subtype(ctx, ct, BOOL, loc, "condition must be Bool")
         t1 = type_of(ctx, sigma, e.then)
         t2 = type_of(ctx, sigma, e.orelse)
         return join(ctx, t1, t2, loc, "if branches")
@@ -357,7 +349,7 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
     raise TypeCheckError("NotAService", f"cannot type node {type(e).__name__}", loc)
 
 
-def _as_image_type(t: TypeExpr) -> Optional[ImgT]:
+def as_image_type(t: TypeExpr | None) -> Optional[ImgT]:
     """Images, plus the template-to-image coercion spwn (srv r) = spwn (srv r, eps)."""
     if isinstance(t, ImgT):
         return t
@@ -395,11 +387,7 @@ def _type_of_template(ctx: TypeContext, sigma: LocationTyping, e: ServerTemplate
         if not e.transparent_this:
             inner = inner.extend_var(THIS, InstT(ttype))
         bt = type_of(inner, sigma, r.body)
-        if not subtype(ctx, bt, UNIT):
-            raise TypeCheckError(
-                "NotASubtype", "rule body must have type Unit",
-                getattr(r.body, "loc", loc), expected=UNIT, actual=bt,
-            )
+        require_subtype(ctx, bt, UNIT, getattr(r.body, "loc", loc), "rule body must have type Unit")
     return ttype
 
 
@@ -422,12 +410,8 @@ def _type_of_image(ctx: TypeContext, sigma: LocationTyping, e: Image) -> ImgT:
             )
         for a, want in zip(m.args, svc.args):
             got = type_of(ctx, sigma, a)
-            if not subtype(ctx, got, want):
-                raise TypeCheckError(
-                    "BufferIllTyped",
-                    f"buffered {m.service!r} argument has the wrong type",
-                    loc, expected=want, actual=got,
-                )
+            msg = f"buffered {m.service!r} argument has the wrong type"
+            require_subtype(ctx, got, want, loc, msg, "BufferIllTyped")
     return ImgT(t)
 
 
@@ -448,8 +432,7 @@ class _Checked:
         return promote(self.ctx, self.ts[i])
 
     def want(self, i: int, t: TypeExpr) -> None:
-        if not subtype(self.ctx, self.ts[i], t):
-            self.fail("NotASubtype", f"{self.op}: operand {i + 1} has the wrong type", t, self.ts[i])
+        require_subtype(self.ctx, self.ts[i], t, self.loc, f"{self.op}: operand {i + 1} has the wrong type")
 
     def want_key(self, i: int, key: TypeExpr) -> None:
         t = self.ts[i]

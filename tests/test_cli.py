@@ -156,6 +156,23 @@ def test_trace_empty_program(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_trace_binds_input(tmp_path, capsys):
+    inp = tmp_path / "input.json"
+    inp.write_text("[1, 2, 3]")
+    prog = tmp_path / "in.cpl"
+    prog.write_text("result<input>\n")
+    assert main(["trace", str(prog), "--no-prelude", "--input", str(inp)]) == 0
+    assert capsys.readouterr().out.startswith("STEP 1 Obs result\n")
+
+
+@pytest.mark.parametrize("flag", [["--engine", "concurrent"], ["--timeout-ms", "5"], ["--virtual-time"]])
+def test_trace_rejects_run_only_flags(examples, flag, capsys):
+    with pytest.raises(SystemExit) as ei:
+        main(["trace", examples["fact.cpl"], "--no-prelude", *flag])
+    assert ei.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_desugar_let_golden(tmp_path, capsys):
     f = tmp_path / "let.cpl"
     f.write_text("let x: Int = 5 in k<x>\n")

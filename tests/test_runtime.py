@@ -12,6 +12,7 @@ import pytest
 import cpl.runtime as runtime
 import cpl.toolchain as tc
 from cpl.core import (
+    ENDPOINTS,
     Addr,
     Address,
     BaseLit,
@@ -424,7 +425,7 @@ def test_captured_bindings_agree_with_the_machine(program):
 
 def test_image_buffer_holding_a_parameter_agrees_with_the_machine():
     core = _image_buffer_holds_parameter()
-    tc.check_expr(core, dict(tc.BASE_ENV))
+    tc.check_expr(core, dict(ENDPOINTS))
     small, concurrent = _observations_on_both_engines(core)
     assert concurrent == small == Counter({'["result", [3]]': 2})
 

@@ -295,3 +295,47 @@ def test_substitution_lemma_property():
         assert subtype(EMPTY, t_out, t2), (v_src, e2_src, t_out, t2)
         checked += 1
     assert checked == 200
+
+
+# The full diagnostic at each position where subsumption is a premise:
+# kind, message, position, expected and actual type.
+SUBSUMPTION_DIAGNOSTICS = [
+    ("1 || par", "1:1: NotASubtype: parallel component must have type Unit (expected Unit, got Int)"),
+    (
+        "repl (spwn srv { a<> :> par }) (srv { b<> :> par })",
+        "1:1: NotASubtype: replacement image must preserve the instance interface"
+        " (expected img srv { a: <> }, got img srv { b: <> })",
+    ),
+    (
+        "(spwn srv { a<x: Int> :> par })#a<true>",
+        "1:35: NotASubtype: request argument has the wrong type (expected Int, got Bool)",
+    ),
+    (
+        "(/\\a <: srv { m: <> }. par)[Int]",
+        "1:28: NotASubtype: type argument violates the bound (expected srv { m: <> }, got Int)",
+    ),
+    ("if 1 then par else par", "1:1: NotASubtype: condition must be Bool (expected Bool, got Int)"),
+    ("srv { a<> :> 1 }", "1:14: NotASubtype: rule body must have type Unit (expected Unit, got Int)"),
+    (
+        "img(srv { a<x: Int> :> par }, [a<true>])",
+        "1:1: BufferIllTyped: buffered 'a' argument has the wrong type (expected Int, got Bool)",
+    ),
+    ("result<1 + true>", "1:10: NotASubtype: add: operand 2 has the wrong type (expected Int, got Bool)"),
+]
+
+
+@pytest.mark.parametrize("src, text", SUBSUMPTION_DIAGNOSTICS)
+def test_subsumption_diagnostic_text(src, text):
+    loaded = tc.load_program(src, include_prelude=False)
+    with pytest.raises(TypeCheckError) as ei:
+        tc.check_expr(loaded.core, loaded.env)
+    assert str(ei.value) == text
+
+
+def test_long_def_chain_checks_with_the_prelude():
+    # Each def nests the rest of the program one `let` deeper, and the
+    # checker recurses through every level: a frame added per level
+    # would overflow the stack here.
+    defs = "def K1 = 1;\n" + "".join(f"def K{i} = K{i - 1} + 1;\n" for i in range(2, 151))
+    loaded = tc.load_program(defs + "result<K150>\n")
+    assert tc.check_expr(loaded.core, loaded.env) == UnitT()
