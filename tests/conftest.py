@@ -1,6 +1,10 @@
 import contextlib
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -39,6 +43,23 @@ def runtime_pools_stop():
     yield
     if left := pool_threads_left(before):
         pytest.fail(f"{len(left)} runtime pool threads still alive 5 s after the test")
+
+
+SRC = str(Path(tc.__file__).resolve().parent.parent)
+
+
+def fresh_interpreter(*args):
+    """Run `python *args` in a new interpreter that imports `cpl` from this
+    checkout (`PYTHONPATH` is its `src`); return (exit code, stdout, stderr)."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def fresh_cli(argv):
+    """`cpl argv` (`python -m cpl.cli`) in a new interpreter: (exit code,
+    stdout, stderr)."""
+    return fresh_interpreter("-m", "cpl.cli", *argv)
 
 
 def load(text, prelude=False, input_value=None):

@@ -3,15 +3,9 @@ the names other modules re-export, and the layers each command imports.
 Each check runs in a fresh interpreter, so no other test has imported a
 layer before it."""
 
-import os
-import subprocess
-import sys
 import textwrap
-from pathlib import Path
 
-import cpl
-
-SRC = str(Path(cpl.__file__).resolve().parent.parent)
+from conftest import fresh_interpreter
 
 PUBLIC = [
     "Addr", "Address", "BaseLit", "BaseOp", "Config", "CplError", "DesugarError", "Expr",
@@ -31,12 +25,8 @@ PUBLIC = [
 def run_fresh(script: str) -> None:
     """Run `script` in a new interpreter that imports `cpl` from this
     checkout; fail with its stderr if it fails."""
-    env = {**os.environ, "PYTHONPATH": SRC}
-    proc = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    code, _, err = fresh_interpreter("-c", textwrap.dedent(script))
+    assert code == 0, err
 
 
 def test_all_lists_the_public_names():
