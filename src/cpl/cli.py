@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 1 type error, 2 quiescent-with-pending or step/time
-limit, 3 parse or desugar error, 4 internal error. Diagnostics go to stderr,
+limit, 3 parse or desugar error, 4 internal error or unreadable file, 64
+usage error (EX_USAGE). Diagnostics go to stderr,
 results to stdout. Only `run` and `trace` import an engine, so `check` and
 `desugar` start without one.
 """
@@ -23,11 +24,15 @@ EXIT_TYPE = 1
 EXIT_RUNTIME = 2
 EXIT_PARSE = 3
 EXIT_INTERNAL = 4
+EXIT_USAGE = 64
 
 
 def _read(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as f:
-        return f.read()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return f.read()
+    except UnicodeDecodeError as exc:
+        raise CplError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def _load(args) -> toolchain.Loaded:
@@ -35,8 +40,11 @@ def _load(args) -> toolchain.Loaded:
     flag and it is given."""
     input_value = None
     if getattr(args, "input", None):
-        with open(args.input, "r", encoding="utf-8") as f:
-            input_value = toolchain.json_to_value(json.load(f))
+        try:
+            data = json.loads(_read(args.input))
+        except json.JSONDecodeError as exc:
+            raise CplError(f"{args.input}: not valid JSON: {exc}") from exc
+        input_value = toolchain.json_to_value(data)
     text = _read(args.file)
     return toolchain.load_program(text, include_prelude=not args.no_prelude, input_value=input_value)
 
@@ -119,8 +127,18 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with usage errors exiting 64, not 2: the CLI's 2 means
+    quiescent or a step/time limit. Subcommand parsers are of this class
+    too."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="cpl", description="CPL toolchain")
+    p = _Parser(prog="cpl", description="CPL toolchain")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, runnable: bool = False):

@@ -14,7 +14,7 @@ of each other, so no fresh binder captures a name.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .builtins import OPS, PROJECTIONS
 from .core import (
@@ -61,8 +61,8 @@ from .core import (
     substitute_type_in_type,
 )
 from .errors import DesugarError, Loc
-from .parser import Program, SApply, SLambda, SLet, SLetK, SThunk
-from .typecheck import TypeCheckError, TypeContext, as_image_type, join, promote, type_of
+from .parser import Definition, Program, SApply, SLambda, SLet, SLetK, SThunk
+from .typecheck import TypeCheckError, TypeContext, as_image_type, join, keep_type, promote, type_of
 
 TypeEnv = Mapping[str, TypeExpr]
 
@@ -123,17 +123,51 @@ Consulted = Mapping[str, tuple[tuple[str, ...], TypeExpr]]
 _NONE_CONSULTED: Consulted = {}
 
 
+# The type-variable bounds in scope, as (env key, bound) pairs.
+Bounds = tuple[tuple[str, TypeExpr], ...]
+
+
+class _Lowered(NamedTuple):
+    """A def's right-hand side lowered, and the verifying trace of what its
+    lowering read (`desugar_program`)."""
+
+    core: Expr
+    ann: Optional[TypeExpr]  # the def's synthesized type, when it has no annotation
+    drawn: tuple[tuple[str, str], ...]  # the fresh names drawn, in order, with their bases
+    consulted: Consulted  # the aliases consulted
+    env: TypeEnv  # read for the entries of the free names
+    bounds: Bounds
+
+
 class Desugarer:
     def __init__(self, aliases: Mapping[str, Alias] | None = None, used_names: set[str] | None = None):
         self.aliases: dict[str, Alias] = dict(aliases or {})
         self.used: set[str] = set(used_names or set())
+        # What lowering has read so far, in order, for the traces of the
+        # def spine (`desugar_program`): each fresh name drawn, as (base,
+        # name), and the aliases each expansion consulted.
+        self.drawn: list[tuple[str, str]] = []
+        self.consulted: list[Consulted] = []
 
     # -- fresh names --------------------------------------------------------
 
     def fresh(self, base: str) -> str:
         name = fresh_name(base, self.used)
         self.used.add(name)
+        self.drawn.append((base, name))
         return name
+
+    def _replay(self, drawn: Sequence[tuple[str, str]]) -> bool:
+        """Draw again, in order, from each base of drawn; True when every
+        draw gives the recorded name. Otherwise the names drawn by the
+        replay are taken back out of `used`."""
+        used = self.used
+        for i, (base, name) in enumerate(drawn):
+            if fresh_name(base, used) != name:
+                used.difference_update(n for _, n in drawn[:i])
+                return False
+            used.add(name)
+        return True
 
     # -- type alias expansion ------------------------------------------------
 
@@ -148,7 +182,10 @@ class Desugarer:
         annotations, whose nodes live as long as its parse, are expanded
         once per process. Errors are not cached: each raises at its own
         use's `loc`."""
-        return self._expand(t, loc, ())[0]
+        out, consulted = self._expand(t, loc, ())
+        if consulted:
+            self.consulted.append(consulted)
+        return out
 
     def _binds(self, consulted: Consulted) -> bool:
         aliases = self.aliases
@@ -393,18 +430,63 @@ class Desugarer:
         return ServerTemplate((rule,), transparent, loc=loc)
 
     def _let(self, e: SLet, env: TypeEnv) -> Expr:
-        ann = self.expand_type(e.ann, e.loc) if e.ann else None
-        if ann is None:
-            ann = self.synth(e.rhs, env)
+        ann = self._let_type(e, env)
+        body = self.desugar(e.body, {**env, e.name: ann})
+        rhs = None if isinstance(e.rhs, SApply) else self.desugar(e.rhs, env)
+        return self._bind(e, ann, body, env, rhs)
+
+    def _let_type(self, e: SLet | Definition, env: TypeEnv) -> TypeExpr:
+        """The type a let binds: its annotation, or else its right-hand
+        side's synthesized type."""
+        ann = self.expand_type(e.ann, e.loc) if e.ann else self.synth(e.rhs, env)
         if ann is None:
             raise DesugarError(f"let binding {e.name!r} needs a type annotation", e.loc)
-        body = self.desugar(e.body, {**env, e.name: ann})
+        return ann
+
+    def _bind(self, e: SLet | Definition, ann: TypeExpr, body: Expr, env: TypeEnv, rhs: Expr | None) -> Expr:
+        """The let of e around the lowered body: a request of a `let`
+        wrapper with rhs, e's lowered right-hand side, or the CPS transform
+        of that right-hand side, an application, when rhs is None."""
         wrapper = self._wrapper("let", ((e.name, ann),), body)
         target = ServiceRef(Spwn(wrapper, loc=e.loc), "let", loc=e.loc)
-        if isinstance(e.rhs, SApply):
+        if rhs is None:
             return self.cps(e.rhs, target, env)
-        rhs = self.desugar(e.rhs, env)
         return Request(target, (rhs,), loc=e.loc)
+
+    def _recall(self, e: Definition, env: TypeEnv, bounds: Bounds) -> Optional[_Lowered]:
+        """e's cached lowering (`_ldcache`) if every read in its trace other
+        than the fresh names gives the same answer under env: the aliases
+        are bound as they were (`_binds`), the entries of the right-hand
+        side's free names are identical or `==`, and the bounds are equal."""
+        hit = getattr(e, "_ldcache", None)
+        if hit is None or hit.bounds != bounds or not self._binds(hit.consulted):
+            return None
+        was = hit.env
+        for n in _free_names(e.rhs):
+            t, u = env.get(n), was.get(n)
+            if t is not u and t != u:
+                return None
+        return hit
+
+    def _reuse(
+        self, e: Definition, ann: TypeExpr, env: TypeEnv, bounds: Bounds, hit: Optional[_Lowered], read: list[Consulted]
+    ) -> Expr:
+        """e's right-hand side lowered under env: the recalled hit's core
+        when replaying its draws against `used` yields the same names, and
+        otherwise lowered again, with its trace replacing the cached one.
+        `read` holds the aliases consulted for ann."""
+        if hit is not None and self._replay(hit.drawn):
+            keep_type(hit.core)
+            return hit.core
+        drawn, consulted = len(self.drawn), len(self.consulted)
+        core = self.desugar(e.rhs, env)
+        aliases: dict[str, tuple[tuple[str, ...], TypeExpr]] = {}
+        for c in (*read, *self.consulted[consulted:]):
+            aliases.update(c)
+        synthesized = None if e.ann else ann
+        trace = _Lowered(core, synthesized, tuple(self.drawn[drawn:]), aliases, env, bounds)
+        object.__setattr__(e, "_ldcache", trace)
+        return core
 
     def _letk(self, e: SLetK, env: TypeEnv) -> Expr:
         binders = tuple((n, self.expand_type(t, e.loc)) for n, t in e.binders)
@@ -450,8 +532,8 @@ class Desugarer:
             ann = self.synth(e.body, env)
         if ann is None:
             raise DesugarError("thunk needs a result type: thunk[T] e", e.loc)
+        # A plain name never collides with a fresh one, which has a `%`.
         k = self.fresh("k") if "k" in free_vars_surface(e.body) else "k"
-        self.used.add(k)
         if isinstance(e.body, Request):
             body = self._request(e.body, env, e.loc, Var(k))
         else:
@@ -555,30 +637,56 @@ def collect_names(src_names: set[str], e: Expr) -> None:
             todo.append(c)
 
 
-def _names(e: Expr) -> frozenset[str]:
-    """The names of e (`collect_names`), cached on e: they depend on e
-    alone, so a stdlib definition's are collected once per process."""
-    names = getattr(e, "_nmcache", None)
+def _cached(e: Expr, attr: str, compute: Callable[[Expr], frozenset[str]]) -> frozenset[str]:
+    """compute(e), cached on e as attr: it depends on e alone, so a stdlib
+    definition's is computed once per process."""
+    names = getattr(e, attr, None)
     if names is None:
-        acc: set[str] = set()
-        collect_names(acc, e)
-        names = frozenset(acc)
-        object.__setattr__(e, "_nmcache", names)
+        names = compute(e)
+        object.__setattr__(e, attr, names)
     return names
+
+
+def _collected(e: Expr) -> frozenset[str]:
+    acc: set[str] = set()
+    collect_names(acc, e)
+    return frozenset(acc)
+
+
+def _names(e: Expr) -> frozenset[str]:
+    """The names of e (`collect_names`), cached on e."""
+    return _cached(e, "_nmcache", _collected)
+
+
+def _free_names(e: Expr) -> frozenset[str]:
+    """The free names of e (`free_vars_surface`), cached on e."""
+    return _cached(e, "_fncache", free_vars_surface)
 
 
 def desugar_program(prog: Program, base_env: TypeEnv | None = None) -> Expr:
     """Expand aliases and lower a whole program to a single core expression.
 
-    `def` items become a chain of nested lets around the main expression.
+    `def` items become a chain of nested lets around the main expression,
+    the def spine. It is lowered with no Python frame per def, in the order
+    of nested lets: each def's type, outermost first, then the main
+    expression, then each right-hand side, innermost first. So the fresh
+    names of a def are numbered after those of the defs below it and of
+    the main expression.
+
+    Each def caches (`_ldcache`, stored like `_excache`) its right-hand side
+    lowered, its synthesized type if it has no annotation, and a verifying
+    trace of what those read: the fresh names drawn, in order; the aliases
+    consulted; and the environment, of which they read the entries of the
+    free names and the type-variable bounds. A later lowering reuses both
+    when each read gives the same answer (`_recall`), and replaying the
+    draws against `used` yields the same names (`_replay`). Otherwise the
+    replay's names are taken back and the def is lowered again, replacing
+    the entry. So a stdlib definition, whose tree lives as long as the
+    process, is lowered once per process for each numbering of its fresh
+    names. The checker keeps the type of a reused core (`keep_type`).
     """
     if prog.main is None:
         raise DesugarError("program has no main expression")
-    d, env, chain = _prepare(prog, base_env)
-    return d.desugar(chain, env)
-
-
-def _prepare(prog: Program, base_env: TypeEnv | None) -> tuple[Desugarer, dict[str, TypeExpr], Expr]:
     aliases: dict[str, Alias] = {}
     for a in prog.aliases:
         if a.name in aliases:
@@ -588,14 +696,27 @@ def _prepare(prog: Program, base_env: TypeEnv | None) -> tuple[Desugarer, dict[s
     for dfn in prog.defs:
         used.add(dfn.name)
         used |= _names(dfn.rhs)
-    if prog.main is not None:
-        collect_names(used, prog.main)
+    collect_names(used, prog.main)
     d = Desugarer(aliases, used)
     env: dict[str, TypeExpr] = dict(base_env or {})
-    chain: Expr = prog.main if prog.main is not None else Par(())
-    for dfn in reversed(prog.defs):
-        chain = SLet(dfn.name, dfn.ann, dfn.rhs, chain, loc=dfn.loc)
-    return d, env, chain
+    # Defs add no bound, so every right-hand side sees the base's.
+    bounds = tuple((k, t) for k, t in env.items() if k.startswith(_BOUND))
+    scopes = []
+    for dfn in prog.defs:
+        hit = d._recall(dfn, env, bounds)
+        if hit is not None and hit.ann is not None:
+            ann, read = hit.ann, [hit.consulted]
+        else:
+            consulted = len(d.consulted)
+            ann = d._let_type(dfn, env)
+            read = d.consulted[consulted:]
+        scopes.append((dfn, ann, env, hit, read))
+        env = {**env, dfn.name: ann}
+    out = d.desugar(prog.main, env)
+    for dfn, ann, env, hit, read in reversed(scopes):
+        rhs = None if isinstance(dfn.rhs, SApply) else d._reuse(dfn, ann, env, bounds, hit, read)
+        out = d._bind(dfn, ann, out, env, rhs)
+    return out
 
 
 def cps_transform(e: Expr, k: Expr, aliases: Mapping[str, Alias] | None = None, env: TypeEnv | None = None) -> Expr:

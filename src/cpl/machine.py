@@ -474,22 +474,20 @@ def timer_due(delay: Expr, now: int) -> int:
 def instantiate(fn: Expr, arg: TypeExpr) -> Expr:
     """Rule TAppAbs: the body of a type abstraction at type arg.
 
-    Memoised on the abstraction node (`_instcache`) by the argument's
-    identity, not by `==`: alpha-equivalent arguments that differ in binder
-    names give bodies that print differently. The cache holds the argument,
-    so its id is not reused while the entry lives.
+    Memoised on the abstraction node (`_instcache`) for its last argument,
+    reused when the argument is that same object, not when it is `==`:
+    alpha-equivalent arguments that differ in binder names give bodies that
+    print differently. The memo holds the argument, so its id is not
+    reused. Only the last is kept, so a node that outlives a load, as the
+    stdlib's do, holds one body, not one for each load's arguments.
     """
     if not isinstance(fn, TypeAbs):
         raise StuckError("type application of a non-universal value")
-    cache = getattr(fn, "_instcache", None)
-    if cache is None:
-        cache = {}
-        object.__setattr__(fn, "_instcache", cache)
-    hit = cache.get(id(arg))
+    hit = getattr(fn, "_instcache", None)
     if hit is not None and hit[0] is arg:
         return hit[1]
     body = substitute_type_in_expr(fn.body, {fn.var: arg})
-    cache[id(arg)] = (arg, body)
+    object.__setattr__(fn, "_instcache", (arg, body))
     return body
 
 

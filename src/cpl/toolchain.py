@@ -51,9 +51,11 @@ def stdlib_source(name: str) -> str:
 def _parsed_stdlib(name: str) -> Program:
     """The stdlib file parsed once per process; a `Program` is immutable.
     Its trees live as long as the process, so the desugarer's caches on
-    them, each definition's names and each annotation's alias expansion,
-    are also computed once per process. Fresh names, lowering and typing
-    stay per load: fresh names are numbered over the merged program."""
+    them (each definition's names, each annotation's alias expansion, each
+    definition's lowering) and the checker's types of the reused cores are
+    also computed once per process. Each load replays what a cached
+    lowering read, its fresh names included, since those are numbered over
+    the merged program (`desugar.desugar_program`)."""
     return parse(stdlib_source(name))
 
 

@@ -60,6 +60,7 @@ from .core import (
     Var,
     ZeroImage,
     free_type_vars,
+    free_vars,
     fresh_name,
     image_of,
     substitute_type_in_type,
@@ -300,7 +301,13 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
                 loc,
             )
         for a, want in zip(e.args, t.args):
-            got = type_of(ctx, sigma, a)
+            # The def spine's right-hand sides are request arguments.
+            kept = getattr(a, "_tycache", None)
+            got = None if kept is None else _kept_type(ctx, sigma, kept)
+            if got is None:
+                got = type_of(ctx, sigma, a)
+                if kept is not None:
+                    _keep(ctx, sigma, a, got)
             require_subtype(ctx, got, want, getattr(a, "loc", loc), "request argument has the wrong type")
         return UNIT
     if isinstance(e, TypeAbs):
@@ -347,6 +354,39 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
             vt = join(ctx, vt, type_of(ctx, sigma, v), loc, "map values")
         return DataT("Map", (kt, vt))
     raise TypeCheckError("NotAService", f"cannot type node {type(e).__name__}", loc)
+
+
+def keep_type(e: Expr) -> None:
+    """Let the checker keep e's type on e (`_tycache`) when it types e as a
+    request argument. The desugarer asks this for the cores it reuses
+    across loads; other terms are typed afresh, at no cost per term.
+
+    Kept with the type are the context types of e's free variables. It is
+    reused while Σ is empty, no type variable is in scope and each of those
+    types is identical or `==`: the typing rules then read nothing else. A
+    failed check keeps nothing."""
+    if getattr(e, "_tycache", None) is None:
+        object.__setattr__(e, "_tycache", ())
+
+
+def _plain_scope(ctx: TypeContext, sigma: LocationTyping) -> bool:
+    return not sigma and all(kind != "tvar" for kind, _, _ in ctx.entries)
+
+
+def _kept_type(ctx: TypeContext, sigma: LocationTyping, kept: tuple) -> Optional[TypeExpr]:
+    if not kept or not _plain_scope(ctx, sigma):
+        return None
+    t, reads = kept
+    for n, u in reads:
+        v = ctx.lookup_var(n)
+        if v is not u and v != u:
+            return None
+    return t
+
+
+def _keep(ctx: TypeContext, sigma: LocationTyping, e: Expr, t: TypeExpr) -> None:
+    if _plain_scope(ctx, sigma):
+        object.__setattr__(e, "_tycache", (t, tuple((n, ctx.lookup_var(n)) for n in free_vars(e))))
 
 
 def as_image_type(t: TypeExpr | None) -> Optional[ImgT]:

@@ -169,8 +169,45 @@ def test_trace_binds_input(tmp_path, capsys):
 def test_trace_rejects_run_only_flags(examples, flag, capsys):
     with pytest.raises(SystemExit) as ei:
         main(["trace", examples["fact.cpl"], "--no-prelude", *flag])
-    assert ei.value.code == 2
+    assert ei.value.code == 64
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_unknown_flag_is_a_usage_error(examples, capsys):
+    # 64 (EX_USAGE), not 2, which means quiescent or a step/time limit.
+    with pytest.raises(SystemExit) as ei:
+        main(["run", examples["fact.cpl"], "--bogus"])
+    assert ei.value.code == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage: cpl ")
+    assert err.splitlines()[-1] == "cpl: error: unrecognized arguments: --bogus"
+
+
+def test_input_that_is_not_json_exits_four(tmp_path, capsys):
+    prog, data = tmp_path / "p.cpl", tmp_path / "bad.json"
+    prog.write_text("result<input>\n")
+    data.write_text("{bad")
+    assert main(["run", str(prog), "--no-prelude", "--input", str(data)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: {data}: not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+
+
+@pytest.mark.parametrize("command", ["check", "run", "desugar"])
+def test_source_that_is_not_utf8_exits_four(tmp_path, capsys, command):
+    f = tmp_path / "bad.cpl"
+    f.write_bytes(b"\xff")
+    assert main([command, str(f)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {f}: not UTF-8 text: ") and err.count("\n") == 1, err
+
+
+def test_input_that_is_not_utf8_exits_four(tmp_path, capsys):
+    prog, data = tmp_path / "p.cpl", tmp_path / "bad.json"
+    prog.write_text("result<input>\n")
+    data.write_bytes(b"[\"\xff\"]")
+    assert main(["run", str(prog), "--no-prelude", "--input", str(data)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {data}: not UTF-8 text: ") and err.count("\n") == 1, err
 
 
 def test_desugar_let_golden(tmp_path, capsys):

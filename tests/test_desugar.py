@@ -40,9 +40,7 @@ ENV = {
 
 
 def lower(text, env=None):
-    prog = parse(text)
-    d, e2, chain = D._prepare(prog, env if env is not None else ENV)
-    return d.desugar(chain, e2)
+    return desugar_program(parse(text), env if env is not None else ENV)
 
 
 GOLDENS = {
