@@ -8,13 +8,15 @@ referentially transparent. Requests are lowered in one place (`_request`),
 whether they stand alone, as letk's right-hand side or as a thunk's body: an
 application that is the callee or an argument is CPS-lifted, leftmost first.
 Fresh names are numbered past every name of the input (`collect_names`) and
-of each other, so no fresh binder captures a name.
+of each other, so no fresh binder captures a name. A def's lowering is
+reused across loads while a replay of what it read matches
+(`desugar_program`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .builtins import OPS, PROJECTIONS
 from .core import (
@@ -637,30 +639,25 @@ def collect_names(src_names: set[str], e: Expr) -> None:
             todo.append(c)
 
 
-def _cached(e: Expr, attr: str, compute: Callable[[Expr], frozenset[str]]) -> frozenset[str]:
-    """compute(e), cached on e as attr: it depends on e alone, so a stdlib
-    definition's is computed once per process."""
-    names = getattr(e, attr, None)
+def _names(e: Expr) -> frozenset[str]:
+    """The names of e (`collect_names`), cached on e: they depend on e
+    alone, so a stdlib definition's are collected once per process."""
+    names = getattr(e, "_nmcache", None)
     if names is None:
-        names = compute(e)
-        object.__setattr__(e, attr, names)
+        acc: set[str] = set()
+        collect_names(acc, e)
+        names = frozenset(acc)
+        object.__setattr__(e, "_nmcache", names)
     return names
 
 
-def _collected(e: Expr) -> frozenset[str]:
-    acc: set[str] = set()
-    collect_names(acc, e)
-    return frozenset(acc)
-
-
-def _names(e: Expr) -> frozenset[str]:
-    """The names of e (`collect_names`), cached on e."""
-    return _cached(e, "_nmcache", _collected)
-
-
 def _free_names(e: Expr) -> frozenset[str]:
-    """The free names of e (`free_vars_surface`), cached on e."""
-    return _cached(e, "_fncache", free_vars_surface)
+    """The free names of e (`free_vars_surface`), cached on e like its names."""
+    names = getattr(e, "_fncache", None)
+    if names is None:
+        names = free_vars_surface(e)
+        object.__setattr__(e, "_fncache", names)
+    return names
 
 
 def desugar_program(prog: Program, base_env: TypeEnv | None = None) -> Expr:

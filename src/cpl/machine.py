@@ -474,12 +474,12 @@ def timer_due(delay: Expr, now: int) -> int:
 def instantiate(fn: Expr, arg: TypeExpr) -> Expr:
     """Rule TAppAbs: the body of a type abstraction at type arg.
 
-    Memoised on the abstraction node (`_instcache`) for its last argument,
-    reused when the argument is that same object, not when it is `==`:
-    alpha-equivalent arguments that differ in binder names give bodies that
-    print differently. The memo holds the argument, so its id is not
-    reused. Only the last is kept, so a node that outlives a load, as the
-    stdlib's do, holds one body, not one for each load's arguments.
+    Memoised on the abstraction node (`_instcache`): the last argument and
+    its body, reused for that same argument object but not for an `==` one,
+    since alpha-equivalent arguments that differ in binder names give
+    bodies that print differently. Only the last is kept, so a node that
+    outlives a load, as the stdlib's do, holds one body, not one for each
+    load's arguments.
     """
     if not isinstance(fn, TypeAbs):
         raise StuckError("type application of a non-universal value")

@@ -370,6 +370,7 @@ def keep_type(e: Expr) -> None:
 
 
 def _plain_scope(ctx: TypeContext, sigma: LocationTyping) -> bool:
+    """Σ is empty and no type variable is in scope."""
     return not sigma and all(kind != "tvar" for kind, _, _ in ctx.entries)
 
 
