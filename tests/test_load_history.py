@@ -51,8 +51,8 @@ def loads(tmp_path_factory):
     data.write_text(json.dumps(["a", "b", "c"]))
     lam = tc.example_path("wordcount.cpl")
 
-    def three(path, *flags):
-        return [("desugar", "--prelude", path), ("check", path), ("run", path, *flags)]
+    def three(path):
+        return [("desugar", "--prelude", path), ("check", path), ("run", path)]
 
     return {
         "lambda": three(lam),
