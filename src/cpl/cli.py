@@ -10,6 +10,7 @@ results to stdout. Only `run` and `trace` import an engine, so `check` and
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional
@@ -137,7 +138,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process. A parse leaves no state on
+    it: each returns a new namespace filled from the actions' defaults."""
     p = _Parser(prog="cpl", description="CPL toolchain")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -399,8 +399,10 @@ class Inert(ServerImage):
 
 
 Bindings = tuple[tuple[str, Expr], ...]
-# A mailbox's queues: (service, arity) -> its (arrival number, message) pairs.
-Queues = dict[tuple[str, int], tuple[tuple[int, MessageValue], ...]]
+# A mailbox's queue of one (service, arity): its (arrival number, message)
+# pairs are `items[start:end]`.
+Queue = tuple[list[tuple[int, MessageValue]], int, int]
+Queues = dict[tuple[str, int], Queue]
 
 
 def bind(pattern: JoinPattern, msg: MessageValue) -> Bindings:
@@ -416,10 +418,18 @@ class Mailbox:
     are interchangeable, so whether a rule matches and which messages it
     takes depend only on the queue lengths and heads: both read O(patterns)
     messages whatever the depth. `ordered()` is the arrival-ordered view.
-    A mailbox is immutable; each operation returns a new one that shares
-    the untouched queues, but `received` (`queue + (msg,)`) and `take`
-    (`queue[n:]`) copy every queue they touch, so each costs O(depth) of
-    that queue.
+
+    A mailbox never changes; each operation returns a new one that shares
+    the untouched queues. A queue is a view `(items, start, end)` of a list
+    that later mailboxes may share (a persistent queue, as in Okasaki,
+    *Purely Functional Data Structures*, 1998). `received` appends to the
+    list in place when the view ends it, and copies the view first when a
+    newer mailbox has appended past it; `take` advances `start`, and copies
+    the rest into a new list once more than half of the list is consumed.
+    No element of a list is ever overwritten, so every older mailbox keeps
+    its messages, and `received` and `take` are O(1) amortised. Mailboxes
+    that share a list need one lock for their `received` calls: the
+    runtime holds the instance's lock.
     """
 
     __slots__ = ("_queues", "_arrivals", "_ordered")
@@ -438,15 +448,19 @@ class Mailbox:
         queues: dict[tuple[str, int], list[tuple[int, MessageValue]]] = {}
         for i, m in enumerate(messages):
             queues.setdefault((m.service, len(m.args)), []).append((i, m))
-        box = Mailbox({k: tuple(q) for k, q in queues.items()}, len(messages))
+        box = Mailbox({k: (q, 0, len(q)) for k, q in queues.items()}, len(messages))
         box._ordered = messages
         return box
 
     def received(self, msg: MessageValue) -> "Mailbox":
         """This mailbox with msg arrived last."""
         key = (msg.service, len(msg.args))
+        items, start, end = self._queues.get(key) or ([], 0, 0)
+        if end != len(items):
+            items, start, end = items[start:end], 0, end - start
+        items.append((self._arrivals, msg))
         queues = self._queues.copy()
-        queues[key] = queues.get(key, ()) + ((self._arrivals, msg),)
+        queues[key] = (items, start, end + 1)
         return Mailbox(queues, self._arrivals + 1)
 
     def can_take(self, patterns: Sequence[JoinPattern]) -> bool:
@@ -460,7 +474,8 @@ class Mailbox:
         for p in patterns:
             key = (p.service, len(p.params))
             need[key] = n = need.get(key, 0) + 1
-            if len(queues.get(key, ())) < n:
+            _, start, end = queues.get(key, _NO_QUEUE)
+            if end - start < n:
                 return False
         return True
 
@@ -475,32 +490,38 @@ class Mailbox:
         for p in patterns:
             key = (p.service, len(p.params))
             i = used.get(key, 0)
-            queue = queues.get(key, ())
-            if i == len(queue):
+            items, start, end = queues.get(key, _NO_QUEUE)
+            if start + i == end:
                 return None
-            consumed.append(queue[i][1])
+            consumed.append(items[start + i][1])
             used[key] = i + 1
         bindings = tuple(b for p, m in zip(patterns, consumed) for b in bind(p, m))
         names = [n for n, _ in bindings]
         assert len(set(names)) == len(names), "pattern linearity violated"
         rest = queues.copy()
         for key, n in used.items():
-            if n == len(queues[key]):
+            items, start, end = queues[key]
+            start += n
+            if start == end:
                 del rest[key]
+            elif 2 * start > len(items):
+                rest[key] = (items[start:end], 0, end - start)
             else:
-                rest[key] = queues[key][n:]
+                rest[key] = (items, start, end)
         return tuple(consumed), bindings, Mailbox(rest, self._arrivals) if rest else EMPTY_MAILBOX
 
     def ordered(self) -> tuple[MessageValue, ...]:
         """The messages in arrival order."""
         if self._ordered is None:
-            self._ordered = tuple(m for _, m in sorted(chain.from_iterable(self._queues.values())))
+            views = (items[start:end] for items, start, end in self._queues.values())
+            self._ordered = tuple(m for _, m in sorted(chain.from_iterable(views)))
         return self._ordered
 
     def __len__(self) -> int:
-        return sum(map(len, self._queues.values()))
+        return sum(end - start for _, start, end in self._queues.values())
 
 
+_NO_QUEUE: Queue = ([], 0, 0)
 EMPTY_MAILBOX = Mailbox()
 
 

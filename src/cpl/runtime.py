@@ -10,17 +10,20 @@ machine's: an instance holds one of its table entries (`Live` or `Inert`),
 and every side condition is a `machine` helper, so a stuck redex raises the
 same `StuckError` on both engines.
 
-A firing evaluates the rule body in one walk under its bindings (the
+A firing runs its rule's body compiled once to a tree of closures (Feeley &
+Lapalme, 1987) and kept on the rule; the closures hold subterms only, never
+a runtime, bindings or an address, so the stdlib's rules, which live for the
+whole process, pin no run. The body runs under the firing's bindings (the
 matched parameters and `this`) instead of substituting them into a copy of
 the body first, as the machine's React rule does. Spawning a template whose
 free variables are all bound does not close it either: the instance keeps
 the template as written next to the captured bindings (an environment
-closure), and its firings evaluate under `this`, then the captured names,
-then the matched parameters, so a transparent `srv*` keeps the enclosing
-`this` and a parameter shadows a captured name. A Snap closes the template
-by substitution, giving the image the machine's Spwn would have installed,
-and a Repl drops the captured bindings with the template. The results are
-the same: any other value that still has free variables is closed by
+closure), and its firings run under `this`, then the captured names, then
+the matched parameters, so a transparent `srv*` keeps the enclosing `this`
+and a parameter shadows a captured name. A Snap closes the template by
+substitution, giving the image the machine's Spwn would have installed, and
+a Repl drops the captured bindings with the template. The results are the
+same: any other value that still has free variables is closed by
 substitution when it escapes the firing (sent, observed, installed, held in
 an image or type abstraction, or returned to an enclosing operation).
 
@@ -36,8 +39,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
-from .builtins import EffectContext, apply_builtin
+from .builtins import apply_builtin
 from .core import (
     THIS,
     Addr,
@@ -53,6 +57,7 @@ from .core import (
     MessageValue,
     Par,
     Placement,
+    ReactionRule,
     Repl,
     Request,
     ServerImage,
@@ -89,8 +94,9 @@ _POOL_SIZE = 8
 _INLINE_DEPTH_LIMIT = 40
 # Firings take the oldest matching messages, as on the small-step machine.
 _MATCH_POLICY = deterministic()
-# The values `_eval` rebuilds from their evaluated subterms.
+# The values that a compiled term rebuilds from its evaluated subterms.
 _REBUILT = (ServiceRef, Image, TupleV, ListV, MapV)
+_UNIT = Par(())
 
 
 @dataclass
@@ -244,7 +250,7 @@ class Runtime:
     def boot(self, program: Expr) -> "Runtime":
         """Start executing a program, closed over the engine endpoints."""
         closed = wire_observers(program)
-        self._submit(lambda: self._eval(closed, {}))
+        self._submit(lambda: _compile(closed)(self, {}))
         return self
 
     def rt_spawn(
@@ -336,7 +342,7 @@ class Runtime:
             ready = [t for t in self._timers if t[0] <= now]
             self._timers = [t for t in self._timers if t[0] > now]
         for _, _, k in sorted(ready):
-            self._submit(lambda k=k: self._eval(Request(k, ()), {}))
+            self._submit(lambda k=k: self._request(k, ()))
 
     def pending_summary(self) -> list[tuple[Address, MessageValue]]:
         out = []
@@ -350,8 +356,9 @@ class Runtime:
         return out
 
     def apply_builtin(self, op: str, args: tuple[Expr, ...]) -> Expr:
-        fx = EffectContext(fresh_id=self.fresh_id, local_time=self.local_time)
-        return apply_builtin(op, args, fx)
+        # The runtime is its own `EffectContext`: one of its bound methods
+        # kept on `self` would keep a finished runtime alive, in a cycle.
+        return apply_builtin(op, args, self)
 
     # -- internals -------------------------------------------------------------
 
@@ -401,73 +408,106 @@ class Runtime:
                 if captured:
                     env.update(captured)
                 env.update(bindings)
-                self._eval(rule.body, env)
+                _compiled(rule)(self, env)
             finally:
                 with inst.lock:
                     inst.firing -= 1
 
-    def _eval(self, e: Expr, env: dict[str, Expr]) -> Expr:
-        """Big-step evaluation of e under env, the bindings of the running
-        firing; requests are dispatched, values returned. A value with free
-        variables is closed by substituting env into it."""
-        if isinstance(e, Var) and e.name in env:
-            return env[e.name]
-        if isinstance(e, This) and THIS in env:
-            return env[THIS]
-        if is_value(e):
-            return substitute(e, env) if free_vars(e) else e
-        if isinstance(e, Par):
-            for x in e.exprs:
-                self._eval(x, env)
-            return Par(())
-        if isinstance(e, Request):
-            # A send to `t#s` needs only t's address: no reference is built
-            # for a target looked up in env, such as a captured name.
-            named = isinstance(e.callee, ServiceRef)
-            callee = self._eval(e.callee.target if named else e.callee, env)
-            args = tuple(self._eval(a, env) for a in e.args)
-            if named:
-                if isinstance(callee, Addr):
-                    self.rt_send(callee.address, e.callee.service, args)
-                    return Par(())
-                callee = with_children(e.callee, (callee,))
-            elif isinstance(callee, ExternalRef):
-                if callee.name == "timer":
-                    due = timer_due(args[0], self.local_time())
-                    with self._clock_lock:
-                        self._timers.append((due, next(self._timer_seq), args[1]))
-                    return Par(())
+    def _request(self, callee: Expr, args: tuple[Expr, ...]) -> Expr:
+        """Dispatch a request whose callee and arguments are evaluated."""
+        if isinstance(callee, ExternalRef):
+            if callee.name == "timer":
+                due = timer_due(args[0], self.local_time())
+                with self._clock_lock:
+                    self._timers.append((due, next(self._timer_seq), args[1]))
+            else:
                 self.log.append(Observation(self.local_time(), callee.name, args))
-                return Par(())
-            if isinstance(callee, ServiceRef) and isinstance(callee.target, Addr):
-                self.rt_send(callee.target.address, callee.service, args)
-                return Par(())
+        elif isinstance(callee, ServiceRef) and isinstance(callee.target, Addr):
+            self.rt_send(callee.target.address, callee.service, args)
+        else:
             raise MachineError(f"request target is not a service reference: {callee!r}")
-        if isinstance(e, Spwn):
-            t = e.expr
-            if isinstance(t, ServerTemplate):
-                fv = free_vars(t)
-                if fv and fv <= env.keys():
-                    return Addr(self.rt_spawn(t, e.placement, {n: env[n] for n in fv}))
-            return Addr(self.rt_spawn(self._eval(t, env), e.placement))
-        if isinstance(e, Snap):
-            return self.rt_snapshot(address_of(self._eval(e.expr, env), "snap", self._instances))
-        if isinstance(e, Repl):
-            target = self._eval(e.target, env)
-            image = self._eval(e.image, env)
-            self.rt_replace(address_of(target, "repl", self._instances), image)
-            return Par(())
-        if isinstance(e, TypeApp):
-            # The instantiated body of a closed abstraction is closed.
-            return self._eval(instantiate(self._eval(e.expr, env), e.arg), {})
-        if isinstance(e, BaseOp):
-            args = tuple(self._eval(a, env) for a in e.operands)
-            return self.apply_builtin(e.op, args)
-        if isinstance(e, If):
-            return self._eval(branch(self._eval(e.cond, env), e.then, e.orelse), env)
-        if isinstance(e, _REBUILT):
-            return with_children(e, [self._eval(c, env) for c in children(e)])
+        return _UNIT
+
+
+Compiled = Callable[[Runtime, dict[str, Expr]], Expr]
+
+
+def _compiled(rule: ReactionRule) -> Compiled:
+    """The rule's body compiled, cached on the rule (`_ccache`)."""
+    f = getattr(rule, "_ccache", None)
+    if f is None:
+        f = _compile(rule.body)
+        object.__setattr__(rule, "_ccache", f)
+    return f
+
+
+def _compile(e: Expr) -> Compiled:
+    """e as a closure f(runtime, env) over its subterms' closures, run under
+    the firing's bindings: requests are dispatched and values returned, and
+    a value with free variables is closed by substituting env into it."""
+
+    def stuck(rt, env):
         raise MachineError(f"cannot evaluate open expression: {e!r}")
+
+    if isinstance(e, (Var, This)):
+        name = e.name if isinstance(e, Var) else THIS
+        return lambda rt, env: env[name] if name in env else stuck(rt, env)
+    if is_value(e):
+        return (lambda rt, env: substitute(e, env)) if free_vars(e) else (lambda rt, env: e)
+    if isinstance(e, Request):
+        ref = e.callee if isinstance(e.callee, ServiceRef) else None
+        # A send to `t#s` needs only t's address: no reference is built for
+        # a target looked up in env, such as a captured name.
+        callee = _compile(e.callee if ref is None else ref.target)
+        args = [_compile(a) for a in e.args]
+
+        def request(rt, env):
+            target = callee(rt, env)
+            values = tuple([f(rt, env) for f in args])
+            if ref is not None and isinstance(target, Addr):
+                rt.rt_send(target.address, ref.service, values)
+                return _UNIT
+            return rt._request(target if ref is None else with_children(ref, (target,)), values)
+
+        return request
+    kids = [_compile(c) for c in children(e)]
+    if isinstance(e, Par):
+
+        def par(rt, env):
+            for f in kids:
+                f(rt, env)
+            return _UNIT
+
+        return par
+    if isinstance(e, Spwn):
+        fv = free_vars(e.expr) if isinstance(e.expr, ServerTemplate) else None
+
+        def spwn(rt, env):
+            if fv and fv <= env.keys():
+                return Addr(rt.rt_spawn(e.expr, e.placement, {n: env[n] for n in fv}))
+            return Addr(rt.rt_spawn(kids[0](rt, env), e.placement))
+
+        return spwn
+    if isinstance(e, Snap):
+        return lambda rt, env: rt.rt_snapshot(address_of(kids[0](rt, env), "snap", rt._instances))
+    if isinstance(e, Repl):
+
+        def repl(rt, env):
+            target, image = kids[0](rt, env), kids[1](rt, env)
+            rt.rt_replace(address_of(target, "repl", rt._instances), image)
+            return _UNIT
+
+        return repl
+    if isinstance(e, TypeApp):
+        # The instantiated body of a closed abstraction is closed.
+        return lambda rt, env: _compile(instantiate(kids[0](rt, env), e.arg))(rt, {})
+    if isinstance(e, BaseOp):
+        return lambda rt, env: rt.apply_builtin(e.op, tuple([f(rt, env) for f in kids]))
+    if isinstance(e, If):
+        return lambda rt, env: branch(kids[0](rt, env), kids[1], kids[2])(rt, env)
+    if isinstance(e, _REBUILT):
+        return lambda rt, env: with_children(e, [f(rt, env) for f in kids])
+    return stuck
 
 
 def boot(program: Expr, virtual_time: bool = False) -> Runtime:

@@ -173,6 +173,25 @@ def test_trace_rejects_run_only_flags(examples, flag, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_one_parser_serves_every_call_and_keeps_no_flags(tmp_path, monkeypatch):
+    from cpl.cli import build_parser
+
+    seeds = []
+    real = tc.run_smallstep
+
+    def recording(core, seed, **kwargs):
+        seeds.append(seed)
+        return real(core, seed=seed, **kwargs)
+
+    monkeypatch.setattr(tc, "run_smallstep", recording)
+    f = tmp_path / "one.cpl"
+    f.write_text("result<1>")
+    assert main(["run", str(f), "--no-prelude", "--seed", "5"]) == 0
+    assert main(["run", str(f), "--no-prelude"]) == 0
+    assert seeds == [5, 0]
+    assert build_parser() is build_parser()
+
+
 def test_unknown_flag_is_a_usage_error(examples, capsys):
     # 64 (EX_USAGE), not 2, which means quiescent or a step/time limit.
     with pytest.raises(SystemExit) as ei:

@@ -67,6 +67,51 @@ def test_mailbox_agrees_with_a_list_model():
             assert Mailbox.of(model).ordered() == tuple(model)
 
 
+def test_every_version_keeps_its_messages_when_histories_branch():
+    """The explorer and `Config.copy` keep older mailboxes and extend them
+    again, so any version may be received into or taken from."""
+    take_a = pats(("a", 1))
+    # Two different `received` on one mailbox.
+    base = Mailbox.of([msg("a", 0)])
+    left, right = base.received(msg("a", 1)), base.received(msg("a", 2))
+    # A `received` on a mailbox after a newer version took from it.
+    taken = left.take(take_a)[2]
+    again = left.received(msg("a", 3))
+    # Six takes from ten messages consume more than half of the list.
+    tens = [Mailbox.of([msg("a", i) for i in range(10)])]
+    for _ in range(7):
+        tens.append(tens[-1].take(take_a)[2])
+    late = tens[5].received(msg("a", 10))
+    assert [m.args[0].value for m in late.ordered()] == [5, 6, 7, 8, 9, 10]
+    for box, want in [(base, [0]), (left, [0, 1]), (right, [0, 2]), (taken, [1]), (again, [0, 1, 3])] + [
+        (box, list(range(i, 10))) for i, box in enumerate(tens)
+    ]:
+        assert [m.args[0].value for m in box.ordered()] == want and len(box) == len(want)
+
+    # Random branching histories against the list model; each version's
+    # `ordered()` is first computed, and so checked, only at the end.
+    rng = random.Random(7)
+    keys = [("a", 1), ("b", 1), ("c", 2)]
+    for _ in range(150):
+        versions = [(Mailbox(), [])]
+        for _ in range(rng.randrange(1, 80)):
+            # Mostly the newest version, so queues get deep enough to compact.
+            box, model = versions[-1] if rng.random() < 0.6 else rng.choice(versions)
+            if rng.random() < 0.55:
+                s, n = rng.choice(keys)
+                m = MessageValue(s, tuple(BaseLit(rng.randrange(9)) for _ in range(n)))
+                versions.append((box.received(m), model + [m]))
+                continue
+            patterns = pats(*(rng.choice(keys) for _ in range(rng.randrange(1, 3))))
+            got, want = box.take(patterns), model_take(patterns, model)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got[0] == want[0]
+                versions.append((got[2], list(want[1])))
+        for box, model in versions:
+            assert box.ordered() == tuple(model) and len(box) == len(model)
+
+
 def test_live_keeps_arrival_order_and_compares_by_buffer():
     tmpl = parse_expr("srv { a<x: Int> & b<y: Int> :> par }")
     buffer = (msg("b", 1), msg("a", 2), msg("c"), msg("b", 3))

@@ -454,6 +454,48 @@ def test_cli_run_of_an_open_program_exits_four(tmp_path, capsys, monkeypatch):
     assert not pool_threads_left(before)
 
 
+# Each fault is raised in a firing of `srv { a<x: Int> :> body }` after
+# `a<1>`, except the free `this`, which sits in the boot term.
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("result<y>", "cannot evaluate open expression: Var(name='y')"),
+        (None, "cannot evaluate open expression: This()"),
+        ("x<2>", "request target is not a service reference: BaseLit(value=1)"),
+        ("x#b<2>", "request target is not a service reference: ServiceRef(target=BaseLit(value=1), service='b')"),
+        ("result<snap x>", "snap applied to a non-address value: 1"),
+        ("repl x zero", "repl applied to a non-address value: 1"),
+        ("result<x / 0>", "div: division by zero"),
+    ],
+)
+def test_cli_pins_the_runtime_fault_texts(body, message, tmp_path, capsys, monkeypatch):
+    """A fault in a program run unchecked is one stderr line and exit 4."""
+    from cpl.cli import main
+
+    monkeypatch.setattr(tc, "check_expr", lambda core, env: None)
+    f = tmp_path / "fault.cpl"
+    f.write_text(f"(spwn srv {{ a<x: Int> :> {body} }})#a<1>" if body else "result<this>")
+    assert main(["run", str(f), "--no-prelude", "--engine=concurrent"]) == 4
+    assert capsys.readouterr().err == f"internal error: {message}\n"
+
+
+def test_no_runtime_outlives_its_run():
+    """Once its pool threads have exited, nothing holds a finished runtime:
+    not the stdlib's rules, which live for the whole process, nor what their
+    firings compiled or cached."""
+    import gc
+    import weakref
+
+    before = set(threading.enumerate())
+    with run_cc(tc.example_source("wordcount_ft.cpl"), virtual=True) as rt:
+        assert not rt.timed_out and cc_obs(rt)
+        ref = weakref.ref(rt)
+    del rt
+    assert not pool_threads_left(before)
+    gc.collect()
+    assert ref() is None
+
+
 def test_firings_substitute_nothing_into_rule_bodies(monkeypatch):
     """A firing evaluates its body under its bindings: on the hot-instance
     burst the number of substitutions does not grow with the burst."""
