@@ -356,8 +356,7 @@ class Runtime:
         return out
 
     def apply_builtin(self, op: str, args: tuple[Expr, ...]) -> Expr:
-        # The runtime is its own `EffectContext`: one of its bound methods
-        # kept on `self` would keep a finished runtime alive, in a cycle.
+        # The runtime is its own `EffectContext`; one on `self` would be a cycle.
         return apply_builtin(op, args, self)
 
     # -- internals -------------------------------------------------------------
@@ -445,13 +444,9 @@ def _compile(e: Expr) -> Compiled:
     """e as a closure f(runtime, env) over its subterms' closures, run under
     the firing's bindings: requests are dispatched and values returned, and
     a value with free variables is closed by substituting env into it."""
-
-    def stuck(rt, env):
-        raise MachineError(f"cannot evaluate open expression: {e!r}")
-
     if isinstance(e, (Var, This)):
         name = e.name if isinstance(e, Var) else THIS
-        return lambda rt, env: env[name] if name in env else stuck(rt, env)
+        return lambda rt, env: env[name] if name in env else _open(e)
     if is_value(e):
         return (lambda rt, env: substitute(e, env)) if free_vars(e) else (lambda rt, env: e)
     if isinstance(e, Request):
@@ -507,7 +502,11 @@ def _compile(e: Expr) -> Compiled:
         return lambda rt, env: branch(kids[0](rt, env), kids[1], kids[2])(rt, env)
     if isinstance(e, _REBUILT):
         return lambda rt, env: with_children(e, [f(rt, env) for f in kids])
-    return stuck
+    return lambda rt, env: _open(e)
+
+
+def _open(e: Expr):
+    raise MachineError(f"cannot evaluate open expression: {e!r}")
 
 
 def boot(program: Expr, virtual_time: bool = False) -> Runtime:
