@@ -39,7 +39,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .builtins import apply_builtin
 from .core import (
@@ -505,7 +505,7 @@ def _compile(e: Expr) -> Compiled:
     return lambda rt, env: _open(e)
 
 
-def _open(e: Expr):
+def _open(e: Expr) -> NoReturn:
     raise MachineError(f"cannot evaluate open expression: {e!r}")
 
 

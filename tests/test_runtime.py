@@ -109,6 +109,36 @@ def test_hundred_concurrent_sends_exactly_once():
         rt.shutdown()
 
 
+def test_sends_racing_firings_lose_no_message():
+    """Eight threads poke one counter while its firings take from the same
+    queues; with a short switch interval, a lost send or take would show in
+    the count."""
+    import sys
+
+    rt = Runtime()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        a = rt.rt_spawn(Image(COUNTER, parse_expr("img(x, [st<0>])").buffer))
+
+        def poke():
+            for _ in range(200):
+                rt.rt_send(a, "poke", ())
+
+        threads = [threading.Thread(target=poke) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(10)
+        assert not any(t.is_alive() for t in threads)
+        rt.await_quiescence(10_000)
+        assert not rt.timed_out
+        assert rt.rt_snapshot(a).buffer == (MessageValue("st", (BaseLit(1600),)),)
+    finally:
+        sys.setswitchinterval(interval)
+        rt.shutdown()
+
+
 def test_snapshot_includes_pending_message():
     rt = Runtime()
     try:
@@ -482,8 +512,8 @@ def test_cli_pins_the_runtime_fault_texts(body, message, tmp_path, capsys, monke
 def test_no_runtime_outlives_its_run():
     """Once its pool threads have exited, nothing holds a finished runtime:
     not the stdlib's rules, which live for the whole process, nor what their
-    firings compiled or cached."""
-    import gc
+    firings compiled or cached, nor a reference cycle, which would keep it
+    until the next collection."""
     import weakref
 
     before = set(threading.enumerate())
@@ -492,7 +522,6 @@ def test_no_runtime_outlives_its_run():
         ref = weakref.ref(rt)
     del rt
     assert not pool_threads_left(before)
-    gc.collect()
     assert ref() is None
 
 
