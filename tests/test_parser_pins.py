@@ -10,6 +10,7 @@ import dataclasses
 import enum
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -155,3 +156,168 @@ def test_comparisons_do_not_chain():
         parse_expr("a == b == c")
     assert ei.value.msg == "unexpected '==' after expression"
     assert str(ei.value.loc) == "1:8"
+
+
+# ---------------------------------------------------------------------------
+# Program corpus: larger and odder inputs
+# ---------------------------------------------------------------------------
+
+_NAMES = ("a", "b", "xs", "acc", "k", "worker_1", "Fact", "go")
+_SERVICES = ("go", "put", "get", "let", "k", "done")
+_STRINGS = ('"plain"', r'"esc \"q\" \\ \n \t"', '"tab\there"', '"two\nlines\n"', '""')
+_SCALARS = ("1", "42", "0", "3.25", "10.0", "true", "false", "this", "zero", "@3", "@~4", "^print")
+
+
+def _gen_type(rng: random.Random, depth: int) -> str:
+    if depth <= 0 or rng.random() < 0.3:
+        return rng.choice(("Int", "Bool", "Float", "String", "Top", "Unit", "Bot", "SrvBot", "a", "TMR"))
+    d = depth - 1
+    form = rng.randrange(11)
+    if form == 0:
+        return f"List[{_gen_type(rng, d)}]"
+    if form == 1:
+        return f"Map[{_gen_type(rng, d)}, {_gen_type(rng, d)}]"
+    if form == 2:
+        return f"({_gen_type(rng, d)}, {_gen_type(rng, d)})"
+    if form == 3:
+        return f"({_gen_type(rng, d)}) -> {_gen_type(rng, d)}"
+    if form == 4:
+        return f"<{', '.join(_gen_type(rng, d) for _ in range(rng.randrange(3)))}>"
+    if form == 5:
+        return f"srv {{ get: <{_gen_type(rng, d)}>, put: <Int, {_gen_type(rng, d)}> }}"
+    if form == 6:
+        return f"inst {_gen_type(rng, d)}"
+    if form == 7:
+        return f"img {_gen_type(rng, d)}"
+    if form == 8:
+        return f"forall a. {_gen_type(rng, d)}"
+    if form == 9:
+        return f"forall b <: {_gen_type(rng, d)}. <b>"
+    return f"Pair[{_gen_type(rng, d)}, Int]"
+
+
+def _gen_template(rng: random.Random, depth: int) -> str:
+    header = rng.sample(("go", "put", "get", "done"), rng.randrange(3))
+    arity = {s: rng.randrange(1, 3) for s in header}
+    lines = [f"{s}: <{', '.join(_gen_type(rng, 1) for _ in range(arity[s]))}>" for s in header]
+    rules = []
+    for _ in range(rng.randrange(1, 4)):
+        pats = []
+        for j in range(rng.randrange(1, 3)):
+            if header and rng.random() < 0.5:
+                s = rng.choice(header)
+                pats.append(f"{s}<{', '.join(f'p{j}{i}' for i in range(arity[s]))}>")
+            else:
+                params = ", ".join(f"q{j}{i}: {_gen_type(rng, 1)}" for i in range(rng.randrange(3)))
+                pats.append(f"{rng.choice(('ready', 'tick', 'let'))}<{params}>")
+        rules.append(f"{' & '.join(pats)} :> {_gen_expr(rng, depth - 1)}")
+    star = "*" if rng.random() < 0.3 else ""
+    sep = rng.choice((",\n  ", " ", "\n  "))
+    body = sep.join(lines) + ("\n  " if lines else "") + "\n  ".join(rules)
+    return f"srv{star} {{ {body} }}"
+
+
+def _gen_expr(rng: random.Random, depth: int) -> str:
+    if depth <= 0 or rng.random() < 0.2:
+        return rng.choice(_NAMES + _SCALARS + _STRINGS)
+    d = depth - 1
+    e = lambda: _gen_expr(rng, d)  # noqa: E731
+    forms = (
+        lambda: f"{e()} {rng.choice(_BINARY)} {e()}",
+        lambda: f"-{e()}",
+        lambda: f"spwn {rng.choice(('', 'local '))}{e()}",
+        lambda: f"snap {e()}",
+        lambda: f"repl {rng.choice(_NAMES)} {rng.choice(_NAMES)}",
+        lambda: f"thunk{rng.choice(('', '[Int] '))} {e()}",
+        lambda: f"if {e()} then {e()}\n  else {e()}",
+        lambda: f"let x{rng.choice(('', ': ' + _gen_type(rng, 2)))} = {e()} in {e()}",
+        lambda: f"letk r: {_gen_type(rng, 2)} = {e()} in {e()}",
+        lambda: f"letk (u: Int, v: {_gen_type(rng, 2)}) = {e()} in {e()}",
+        lambda: f"\\(x: Int, f: {_gen_type(rng, 2)}) -> {_gen_type(rng, 2)}. {e()}",
+        lambda: f"/\\a. {e()}",
+        lambda: f"/\\a <: {_gen_type(rng, 2)}. {e()}",
+        lambda: f"({e()})",
+        lambda: f"({e()}, {e()})",
+        lambda: f"[{', '.join(e() for _ in range(rng.randrange(4)))}]",
+        lambda: f"par({e()}, {e()})",
+        lambda: "par",
+        lambda: f"{rng.choice(_NAMES)}#{rng.choice(_SERVICES)}<{e()}>",
+        lambda: f"{rng.choice(_NAMES)}[{_gen_type(rng, 2)}]",
+        lambda: f"{rng.choice(('add', 'f', 'len'))}({e()}, {e()})",
+        lambda: f"({e()})#{rng.choice(_SERVICES)}",
+        lambda: _gen_template(rng, d),
+        lambda: f"img({_gen_template(rng, d)}, [go<1, \"s\">, put<@2, 2.5>])",
+    )
+    return rng.choice(forms)()
+
+
+def _gen_program(rng: random.Random, n_items: int) -> str:
+    items = []
+    for i in range(n_items):
+        comment = rng.choice(("", "  // trailing comment", "\n// a comment line"))
+        if rng.random() < 0.25:
+            params = rng.choice(("", "[a]", "[a, b]"))
+            items.append(f"type T{i}{params} = {_gen_type(rng, 3)};{comment}")
+        else:
+            ann = rng.choice(("", f": {_gen_type(rng, 2)}"))
+            items.append(f"def D{i}{ann} = {_gen_expr(rng, 4)};{comment}")
+    main = _gen_expr(rng, 3) if rng.random() < 0.7 else ""
+    return "\n".join(items) + "\n" + main + rng.choice(("", "\n", "  \n\t", "\n// end"))
+
+
+def _program_corpus() -> list[str]:
+    rng = random.Random(20261020)
+    corpus = [_gen_program(rng, rng.randrange(1, 8)) for _ in range(60)]
+    corpus.append("def Long = " + " :: ".join(str(i) for i in range(300)) + " :: [];")
+    return corpus
+
+
+def _program_outcome(src: str) -> str:
+    try:
+        prog = parse(src)
+    except ParseError as exc:
+        return f"ParseError {exc.msg!r} at {exc.loc}"
+    # The 300-element chain nests deeper than `_dump`'s four frames per
+    # level fit under the default limit.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 5000))
+    try:
+        return _dump(prog)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_program_corpus_pinned():
+    corpus = _program_corpus()
+    tokens = [f"{t.kind} {t.text!r} {t.loc.line}:{t.loc.col}" for src in corpus for t in tokenize(src)]
+    trees = [_program_outcome(src) for src in corpus]
+    assert sum(o.startswith("ParseError") for o in trees) == 0
+    assert _digest(tokens) == "594b7c97df2c908e"
+    assert _digest(trees) == "7fe016cf07dfa28f"
+
+
+def _boundaries(src: str) -> list[int]:
+    """Every offset at which a token starts or ends, the ends of the source included."""
+    line_starts = [0] + [i + 1 for i, ch in enumerate(src) if ch == "\n"]
+    out = {0, len(src)}
+    for t in tokenize(src)[:-1]:
+        start = line_starts[t.loc.line - 1] + t.loc.col - 1
+        out.add(start)
+        # A string token's text is unescaped, so its length is not the source's.
+        out.add(start + (_raw_len(src, start) + 2 if t.kind == "STRING" else len(t.text)))
+    return sorted(out)
+
+
+def _raw_len(src: str, start: int) -> int:
+    """The length of the body of the string literal opening at `start`."""
+    i = start + 1
+    while src[i] != '"':
+        i += 2 if src[i] == "\\" else 1
+    return i - start - 1
+
+
+def test_truncated_programs_pinned():
+    rng = random.Random(7)
+    samples = [_gen_program(rng, 3) for _ in range(4)]
+    parts = [f"{src[:cut]!r} => {_program_outcome(src[:cut])}" for src in samples for cut in _boundaries(src)]
+    assert _digest(parts) == "afbccea4e7622f82"
