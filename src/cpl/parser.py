@@ -8,6 +8,13 @@ comparison operators; use `<=`, `>=`, `==`, `!=` or the named lt/gt base ops.
 Precedence, loosest to tightest: `||` < `== != <= >=` (no chaining) < `::`
 (right) < `+ -` < `* / %` (both left) < prefix forms < postfix `#`, `<…>`,
 `[T]` and calls.
+
+Cost model: `tokenize` is one regex scan, and a token is one tuple of its
+kind, text, line and column; its `loc`, a `Loc`, is built only when a node
+or a `ParseError` reads it. The parser keeps one key per token (the text of
+punctuation and keywords, else the kind), so testing the next token is one
+comparison, and each form dispatches on the next key instead of trying its
+alternatives in turn.
 """
 
 from __future__ import annotations
@@ -142,30 +149,37 @@ class Program:
 class Token(NamedTuple):
     kind: str  # IDENT, INT, FLOAT, STRING, PUNCT, EOF
     text: str
-    loc: Loc
+    line: int
+    col: int
+
+    @property
+    def loc(self) -> Loc:
+        return Loc(self.line, self.col)
 
 
 _PUNCT2 = (":>", "<=", ">=", "==", "!=", "::", "||", "/\\", "<:", "->")
 _PUNCT1 = "{}()[]<>,;:#&+-*/%=.\\@~^!|"
 _ESCAPES = {"n": "\n", "t": "\t"}
 
-# Leading blanks, then one alternative per token kind, tried in order. `\d`
-# is what `int` accepts; an identifier must start with a letter or `_`, which
-# `tokenize` checks, as `\w` also admits digits such as `²`. A `"` that does
-# not open a whole literal falls through to ERR. `tokenize` stops the scan
-# before trailing blanks, which would otherwise backtrack into ERR.
+# Leading blanks, then one alternative per token kind, tried in order, the
+# most frequent first. `\d` is what `int` accepts; an identifier must start
+# with a letter or `_`, which `tokenize` checks, as `\w` also admits digits
+# such as `²`. A `"` that does not open a whole literal falls through to ERR.
+# `tokenize` stops the scan before trailing blanks, which would otherwise
+# backtrack into ERR.
 _TOKEN_RE = re.compile(
-    r"[ \t\r]*(?:(?P<NL>\n)|(?P<COMMENT>//[^\n]*)"
-    r'|(?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*")'
-    r"|(?P<FLOAT>\d+\.\d+)|(?P<INT>\d+)|(?P<IDENT>\w[\w%]*)"
+    r"[ \t\r]*(?:(?P<IDENT>[^\W\d][\w%]*)|(?P<COMMENT>//[^\n]*)"
     f"|(?P<PUNCT>{'|'.join(map(re.escape, _PUNCT2))}|[{re.escape(_PUNCT1)}])"
-    r"|(?P<ERR>.))",
+    r"|(?P<NL>\n)|(?P<FLOAT>\d+\.\d+)|(?P<INT>\d+)"
+    r'|(?P<STRING>"[^"\\]*(?:\\.[^"\\]*)*")|(?P<ERR>.))',
     re.DOTALL,
 )
 
 
 def tokenize(src: str) -> list[Token]:
     toks: list[Token] = []
+    # `tuple.__new__` skips the Python-level constructor of the named tuple.
+    append, new = toks.append, tuple.__new__
     line, line_start = 1, 0
     m = None
     for m in _TOKEN_RE.finditer(src, 0, len(src.rstrip(" \t\r"))):
@@ -175,23 +189,27 @@ def tokenize(src: str) -> list[Token]:
             continue
         if kind == "COMMENT":
             continue
-        start, text = m.start(kind), m[kind]
-        loc = Loc(line, start - line_start + 1)
-        if kind == "STRING":
-            if "\n" in text:
-                line += text.count("\n")
-                line_start = src.rindex("\n", start, m.end()) + 1
-            text = text[1:-1]
+        text = m[kind]
+        col = m.end() - len(text) - line_start + 1
+        if kind == "IDENT":
+            if not (text[0].isalpha() or text[0] == "_"):
+                raise ParseError(f"unexpected character {text[0]!r}", Loc(line, col))
+        elif kind == "STRING":
+            raw, text = text, text[1:-1]
             if "\\" in text:
                 text = re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]), text, flags=re.DOTALL)
-        elif kind == "ERR" and text == '"':
-            raise ParseError("unterminated string literal", loc)
-        elif kind == "ERR" or (kind == "IDENT" and not (text[0].isalpha() or text[0] == "_")):
-            raise ParseError(f"unexpected character {text[0]!r}", loc)
-        toks.append(Token(kind, text, loc))
+            append(new(Token, (kind, text, line, col)))
+            if "\n" in raw:
+                line += raw.count("\n")
+                line_start = src.rindex("\n", 0, m.end()) + 1
+            continue
+        elif kind == "ERR":
+            msg = "unterminated string literal" if text == '"' else f"unexpected character {text!r}"
+            raise ParseError(msg, Loc(line, col))
+        append(new(Token, (kind, text, line, col)))
     # EOF sits after trailing blanks, but a final comment does not move it.
     end = m.start("COMMENT") if m and m.lastgroup == "COMMENT" else len(src)
-    toks.append(Token("EOF", "", Loc(line, end - line_start + 1)))
+    append(Token("EOF", "", line, end - line_start + 1))
     return toks
 
 
@@ -200,36 +218,38 @@ def tokenize(src: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-# Binary operators: token -> (base operation, precedence). `::` associates to
-# the right, a comparison takes no comparison operand, the rest associate to
-# the left.
+# Binary operators: key -> (base operation, precedence). `||` gathers its
+# operands into one `Par`, `::` associates to the right, a comparison takes
+# no comparison operand, the rest associate to the left.
 _BINARY = {
+    "||": ("par", 0),
     "==": ("eq", 1), "!=": ("neq", 1), "<=": ("le", 1), ">=": ("ge", 1),
     "::": ("cons", 2),
     "+": ("add", 3), "-": ("sub", 3),
     "*": ("mul", 4), "/": ("div", 4), "%": ("mod", 4),
 }
+# Keys that open a prefix form or follow an expression as a postfix form.
+_PREFIX = frozenset(("spwn", "snap", "repl", "thunk", "if", "let", "letk", "\\", "/\\", "-"))
+_POSTFIX = frozenset(("#", "<", "[", "("))
+_NAMED_TYPES = {"Top": Top, "Unit": UnitT, "Bot": Bot, "SrvBot": SrvBot}
 
 
 class _Parser:
     def __init__(self, src: str):
-        # One more EOF after the last, so that `peek(1)` never needs a bound;
-        # `next` stops at the first.
+        # One more EOF after the last, so that `keys[pos + 1]` never needs a
+        # bound; `next` stops at the first.
         self.toks = tokenize(src)
         self.toks.append(self.toks[-1])
+        self.keys = [
+            text if kind == "PUNCT" or (kind == "IDENT" and text in KEYWORDS) else kind
+            for kind, text, _, _ in self.toks
+        ]
         self.pos = 0
 
     # token helpers --------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[self.pos + ahead]
-
-    def at(self, text: str, ahead: int = 0) -> bool:
-        t = self.toks[self.pos + ahead]
-        return t.text == text and t.kind in ("PUNCT", "IDENT")
-
-    def at_kind(self, kind: str) -> bool:
-        return self.peek().kind == kind
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
     def next(self) -> Token:
         t = self.toks[self.pos]
@@ -237,45 +257,56 @@ class _Parser:
             self.pos += 1
         return t
 
-    def accept(self, text: str) -> bool:
-        """Consume the token `text` if it is next."""
-        if self.at(text):
+    def accept(self, key: str) -> bool:
+        """Consume the next token if its key is `key`."""
+        if self.keys[self.pos] == key:
             self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if t.text != text or t.kind == "EOF":
-            raise ParseError(f"expected {text!r}, found {t.text!r}", t.loc)
-        return self.next()
+    def expect(self, key: str) -> Token:
+        t = self.toks[self.pos]
+        if self.keys[self.pos] != key:
+            raise ParseError(f"expected {key!r}, found {t.text!r}", t.loc)
+        self.pos += 1
+        return t
 
-    def ident(self, what: str = "identifier") -> Token:
-        t = self.peek()
-        if t.kind != "IDENT" or t.text in KEYWORDS:
+    def ident(self, what: str = "identifier") -> str:
+        t = self.toks[self.pos]
+        if self.keys[self.pos] != "IDENT":
             raise ParseError(f"expected {what}, found {t.text!r}", t.loc)
-        return self.next()
+        self.pos += 1
+        return t.text
 
     def service_name(self) -> Token:
         # Service names live in their own namespace; keywords are permitted
         # (desugared wrappers use services named let/k).
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "IDENT":
             raise ParseError(f"expected a service name, found {t.text!r}", t.loc)
-        return self.next()
+        self.pos += 1
+        return t
+
+    def end(self, what: str) -> None:
+        t = self.toks[self.pos]
+        if t.kind != "EOF":
+            raise ParseError(f"unexpected {t.text!r} after {what}", t.loc)
 
     def seq(self, close: str, item: Callable[[], Any]) -> list[Any]:
         """Comma-separated `item`s up to `close`, which is consumed."""
         out = []
-        while not self.at(close):
+        keys = self.keys
+        while keys[self.pos] != close:
             out.append(item())
-            if not self.at(close):
+            if keys[self.pos] == ",":
+                self.pos += 1
+            elif keys[self.pos] != close:
                 self.expect(",")
-        self.expect(close)
+        self.pos += 1
         return out
 
     def typed_binder(self, what: str) -> tuple[str, TypeExpr]:
-        name = self.ident(what).text
+        name = self.ident(what)
         self.expect(":")
         return name, self.type_expr()
 
@@ -285,20 +316,20 @@ class _Parser:
         aliases: list[TypeAliasDef] = []
         defs: list[Definition] = []
         while True:
-            if self.at("def"):
+            if self.keys[self.pos] == "def":
                 loc = self.next().loc
-                name = self.ident("definition name").text
+                name = self.ident("definition name")
                 ann = self.type_expr() if self.accept(":") else None
                 self.expect("=")
                 rhs = self.expr()
                 self.expect(";")
                 defs.append(Definition(name, ann, rhs, loc))
-            elif self.at("type"):
+            elif self.keys[self.pos] == "type":
                 loc = self.next().loc
-                name = self.ident("type alias name").text
+                name = self.ident("type alias name")
                 params: list[str] = []
                 if self.accept("["):
-                    params = self.seq("]", lambda: self.ident("type parameter").text)
+                    params = self.seq("]", lambda: self.ident("type parameter"))
                 self.expect("=")
                 rhs = self.type_expr()
                 self.expect(";")
@@ -306,196 +337,177 @@ class _Parser:
             else:
                 break
         main: Optional[Expr] = None
-        if not self.at_kind("EOF"):
+        if self.keys[self.pos] != "EOF":
             main = self.expr()
-            t = self.peek()
-            if t.kind != "EOF":
-                raise ParseError(f"unexpected {t.text!r} after main expression", t.loc)
+            self.end("main expression")
         return Program(tuple(aliases), tuple(defs), main)
+
+    def lone_expr(self) -> Expr:
+        e = self.expr()
+        self.end("expression")
+        return e
 
     # expressions ----------------------------------------------------------
 
-    def expr(self) -> Expr:
-        first = self.binary()
-        if not self.at("||"):
-            return first
-        parts = [first]
-        while self.accept("||"):
-            parts.append(self.binary())
-        # No flattening here: `(a || b) || c` stays nested so parsing is the
-        # exact inverse of pretty-printing. Rule Par flattens at run time.
-        return Par(tuple(parts), loc=getattr(parts[0], "loc", None))
-
-    def binary(self, level: int = 1) -> Expr:
+    def expr(self, level: int = 0) -> Expr:
         """Precedence climbing over `_BINARY`: operators binding at `level` or tighter."""
-        left = self.prefix_expr()
+        keys = self.keys
+        left = self.prefix_expr() if keys[self.pos] in _PREFIX else self.postfix_expr()
         while True:
-            t = self.peek()
-            op = _BINARY.get(t.text) if t.kind == "PUNCT" else None
+            op = _BINARY.get(keys[self.pos])
             if op is None or op[1] < level:
                 return left
-            self.next()
             name, prec = op
-            right = self.binary(prec if name == "cons" else prec + 1)
-            left = BaseOp(name, (left, right), loc=t.loc)
-            if prec == 1:  # comparisons do not chain
-                return left
+            if prec == 0:
+                # No flattening here: `(a || b) || c` stays nested so parsing
+                # is the exact inverse of pretty-printing. Rule Par flattens
+                # at run time.
+                parts = [left]
+                while self.accept("||"):
+                    parts.append(self.expr(1))
+                return Par(tuple(parts), loc=getattr(left, "loc", None))
+            t = self.next()
+            if prec == 2:
+                # A `::` chain is built in a loop, not one frame per element.
+                ops, operands = [t], [left, self.expr(3)]
+                while keys[self.pos] == "::":
+                    ops.append(self.next())
+                    operands.append(self.expr(3))
+                left = operands.pop()
+                for t in reversed(ops):
+                    left = BaseOp("cons", (operands.pop(), left), loc=t.loc)
+                continue
+            left = BaseOp(name, (left, self.expr(prec + 1)), loc=t.loc)
+            if prec == 1 and keys[self.pos] != "||":
+                return left  # comparisons do not chain
 
     def prefix_expr(self) -> Expr:
-        t = self.peek()
-        if self.at("spwn"):
-            loc = self.next().loc
+        key = self.keys[self.pos]
+        if key not in _PREFIX:
+            return self.postfix_expr()
+        loc = self.next().loc
+        if key == "spwn":
             placement = Placement.LOCAL if self.accept("local") else Placement.REMOTE
             return Spwn(self.prefix_expr(), placement, loc=loc)
-        if self.at("snap"):
-            loc = self.next().loc
+        if key == "snap":
             return Snap(self.prefix_expr(), loc=loc)
-        if self.at("repl"):
-            loc = self.next().loc
+        if key == "repl":
             target = self.postfix_expr()
-            image = self.postfix_expr()
-            return Repl(target, image, loc=loc)
-        if self.at("thunk"):
-            loc = self.next().loc
+            return Repl(target, self.postfix_expr(), loc=loc)
+        if key == "thunk":
             ann = None
             if self.accept("["):
                 ann = self.type_expr()
                 self.expect("]")
-            body = self.binary()
-            return SThunk(ann, body, loc=loc)
-        if self.at("if"):
-            loc = self.next().loc
+            return SThunk(ann, self.expr(1), loc=loc)
+        if key == "if":
             cond = self.expr()
             self.expect("then")
             then = self.expr()
             self.expect("else")
-            orelse = self.binary()
-            return If(cond, then, orelse, loc=loc)
-        if self.at("let"):
-            return self.let_expr()
-        if self.at("letk"):
-            return self.letk_expr()
-        if self.at("\\"):
-            return self.lambda_expr()
-        if self.at("/\\"):
-            loc = self.next().loc
-            var = self.ident("type variable").text
+            return If(cond, then, self.expr(1), loc=loc)
+        if key == "let":
+            name = self.ident("binder")
+            ann = self.type_expr() if self.accept(":") else None
+            self.expect("=")
+            rhs = self.expr()
+            self.expect("in")
+            return SLet(name, ann, rhs, self.expr(), loc=loc)
+        if key == "letk":
+            grouped = self.accept("(")
+            binders = [self.typed_binder("binder")]
+            while grouped and self.keys[self.pos] != ")":
+                self.expect(",")
+                binders.append(self.typed_binder("binder"))
+            if grouped:
+                self.pos += 1
+            self.expect("=")
+            rhs = self.expr()
+            self.expect("in")
+            return SLetK(tuple(binders), rhs, self.expr(), loc=loc)
+        if key == "\\":
+            self.expect("(")
+            params = self.seq(")", lambda: self.typed_binder("parameter"))
+            self.expect("->")
+            ret = self.type_expr()
+            self.expect(".")
+            return SLambda(tuple(params), ret, self.expr(), loc=loc)
+        if key == "/\\":
+            var = self.ident("type variable")
             bound = self.type_expr() if self.accept("<:") else Top()
             self.expect(".")
-            body = self.expr()
-            return TypeAbs(var, bound, body, loc=loc)
-        if t.kind == "PUNCT" and t.text == "-":
-            loc = self.next().loc
-            operand = self.prefix_expr()
-            if (
-                isinstance(operand, BaseLit)
-                and isinstance(operand.value, (int, float))
-                and not isinstance(operand.value, bool)
-            ):
-                return BaseLit(-operand.value, loc=loc)
-            return BaseOp("sub", (BaseLit(0, loc=loc), operand), loc=loc)
-        return self.postfix_expr()
-
-    def let_expr(self) -> Expr:
-        loc = self.next().loc
-        name = self.ident("binder").text
-        ann = self.type_expr() if self.accept(":") else None
-        self.expect("=")
-        rhs = self.expr()
-        self.expect("in")
-        body = self.expr()
-        return SLet(name, ann, rhs, body, loc=loc)
-
-    def letk_expr(self) -> Expr:
-        loc = self.next().loc
-        binders: list[tuple[str, TypeExpr]] = []
-        if self.accept("("):
-            while True:
-                binders.append(self.typed_binder("binder"))
-                if self.at(")"):
-                    break
-                self.expect(",")
-            self.expect(")")
-        else:
-            binders.append(self.typed_binder("binder"))
-        self.expect("=")
-        rhs = self.expr()
-        self.expect("in")
-        body = self.expr()
-        return SLetK(tuple(binders), rhs, body, loc=loc)
-
-    def lambda_expr(self) -> Expr:
-        loc = self.next().loc
-        self.expect("(")
-        params = self.seq(")", lambda: self.typed_binder("parameter"))
-        self.expect("->")
-        ret = self.type_expr()
-        self.expect(".")
-        body = self.expr()
-        return SLambda(tuple(params), ret, body, loc=loc)
+            return TypeAbs(var, bound, self.expr(), loc=loc)
+        operand = self.prefix_expr()  # key == "-"
+        if (
+            isinstance(operand, BaseLit)
+            and isinstance(operand.value, (int, float))
+            and not isinstance(operand.value, bool)
+        ):
+            return BaseLit(-operand.value, loc=loc)
+        return BaseOp("sub", (BaseLit(0, loc=loc), operand), loc=loc)
 
     def postfix_expr(self) -> Expr:
         # Call syntax `f(args)` only attaches to unparenthesized variables
         # and call chains, so juxtaposed operands (repl e1 e2) never swallow
         # a parenthesized neighbour.
-        grouped = self.at("(")
+        keys = self.keys
+        grouped = keys[self.pos] == "("
         e = self.atom()
         callable_head = isinstance(e, core.Var) and not grouped
-        while True:
-            t = self.peek()
-            if t.kind != "PUNCT":
+        while (key := keys[self.pos]) in _POSTFIX:
+            if key == "(" and not callable_head:
                 break
-            if t.text == "#":
-                self.next()
-                svc = self.service_name().text
-                e = ServiceRef(e, svc, loc=t.loc)
-                callable_head = False
-            elif t.text == "<":
-                self.next()
-                e = Request(e, tuple(self.seq(">", self.expr)), loc=t.loc)
-                callable_head = False
-            elif t.text == "[":
-                self.next()
+            loc = self.next().loc
+            if key == "#":
+                e = ServiceRef(e, self.service_name().text, loc=loc)
+            elif key == "<":
+                e = Request(e, tuple(self.seq(">", self.expr)), loc=loc)
+            elif key == "[":
                 ty = self.type_expr()
                 self.expect("]")
-                e = TypeApp(e, ty, loc=t.loc)
-                callable_head = False
-            elif t.text == "(" and callable_head:
-                self.next()
+                e = TypeApp(e, ty, loc=loc)
+            else:
                 args = tuple(self.seq(")", self.expr))
                 if isinstance(e, core.Var) and is_builtin(e.name):
-                    e = BaseOp(e.name, args, loc=t.loc)
+                    e = BaseOp(e.name, args, loc=loc)
                 else:
-                    e = SApply(e, args, loc=t.loc)
-            else:
-                break
+                    e = SApply(e, args, loc=loc)
+                continue
+            callable_head = False
         return e
 
     def atom(self) -> Expr:
-        t = self.peek()
-        if t.kind == "INT":
-            self.next()
+        t = self.toks[self.pos]
+        key = self.keys[self.pos]
+        self.pos += 1  # the extra EOF keeps this in bounds, and EOF raises below
+        if key == "IDENT":
+            return core.Var(t.text, loc=t.loc)
+        if key == "INT":
             return BaseLit(int(t.text), loc=t.loc)
-        if t.kind == "FLOAT":
-            self.next()
-            return BaseLit(float(t.text), loc=t.loc)
-        if t.kind == "STRING":
-            self.next()
+        if key == "(":
+            if self.keys[self.pos] == ")":
+                raise ParseError("empty parentheses are not an expression", t.loc)
+            items = [self.expr()]
+            while self.accept(","):
+                items.append(self.expr())
+            self.expect(")")
+            return items[0] if len(items) == 1 else TupleV(tuple(items), loc=t.loc)
+        if key == "STRING":
             return BaseLit(t.text, loc=t.loc)
-        if self.accept("true"):
-            return BaseLit(True, loc=t.loc)
-        if self.accept("false"):
-            return BaseLit(False, loc=t.loc)
-        if self.accept("this"):
+        if key == "FLOAT":
+            return BaseLit(float(t.text), loc=t.loc)
+        if key in ("true", "false"):
+            return BaseLit(key == "true", loc=t.loc)
+        if key == "this":
             return This(loc=t.loc)
-        if self.accept("zero"):
+        if key == "zero":
             return ZeroImage(loc=t.loc)
-        if self.accept("par"):
+        if key == "par":
             items = self.seq(")", self.expr) if self.accept("(") else ()
             return Par(tuple(items), loc=t.loc)
-        if self.at("srv"):
-            return self.template()
-        if self.accept("img"):
+        if key == "srv":
+            return self.template(t)
+        if key == "img":
             self.expect("(")
             tmpl = self.expr()
             self.expect(",")
@@ -503,28 +515,16 @@ class _Parser:
             buf = tuple(self.seq("]", self.message))
             self.expect(")")
             return Image(tmpl, buf, loc=t.loc)
-        if self.accept("^"):
-            name = self.ident("external service name").text
-            return ExternalRef(name, loc=t.loc)
-        if self.accept("@"):
+        if key == "^":
+            return ExternalRef(self.ident("external service name"), loc=t.loc)
+        if key == "@":
             placement = Placement.LOCAL if self.accept("~") else Placement.REMOTE
             num = self.next()
             if num.kind != "INT":
                 raise ParseError("expected address number after @", num.loc)
             return Addr(Address(int(num.text), placement), loc=t.loc)
-        if self.accept("["):
+        if key == "[":
             return ListV(tuple(self.seq("]", self.expr)), loc=t.loc)
-        if self.accept("("):
-            if self.at(")"):
-                raise ParseError("empty parentheses are not an expression", t.loc)
-            items = [self.expr()]
-            while self.accept(","):
-                items.append(self.expr())
-            self.expect(")")
-            return items[0] if len(items) == 1 else TupleV(tuple(items), loc=t.loc)
-        if t.kind == "IDENT" and t.text not in KEYWORDS:
-            self.next()
-            return core.Var(t.text, loc=t.loc)
         raise ParseError(f"unexpected token {t.text!r}", t.loc)
 
     def message(self) -> MessageValue:
@@ -535,18 +535,14 @@ class _Parser:
             raise ParseError("buffered message arguments must be values", self.peek().loc)
         return MessageValue(name, args)
 
-    def template(self) -> Expr:
-        start = self.expect("srv")
+    def template(self, start: Token) -> Expr:
         transparent = self.accept("*")
         self.expect("{")
         header: dict[str, SvcT] = {}
         # Header entries: `name: <T, ...>` separated by optional commas, until
         # the first pattern (`name<`), which starts the rules.
-        while (
-            self.peek().kind == "IDENT"
-            and self.peek().text not in KEYWORDS
-            and self.at(":", ahead=1)
-        ):
+        keys = self.keys
+        while keys[self.pos] == "IDENT" and keys[self.pos + 1] == ":":
             name, ty = self.typed_binder("identifier")
             if not isinstance(ty, SvcT):
                 raise ParseError(f"service {name!r} must be declared at a service type", start.loc)
@@ -555,9 +551,9 @@ class _Parser:
             header[name] = ty
             self.accept(",")
         rules: list[ReactionRule] = []
-        while not self.at("}"):
+        while keys[self.pos] != "}":
             rules.append(self.rule(header))
-        self.expect("}")
+        self.pos += 1
         if not rules:
             raise ParseError("server template needs at least one rule", start.loc)
         return ServerTemplate(tuple(rules), transparent, loc=start.loc)
@@ -595,65 +591,37 @@ class _Parser:
         return JoinPattern(name_tok.text, tuple(resolved))
 
     def pattern_param(self) -> tuple[str, Optional[TypeExpr]]:
-        name = self.ident("pattern parameter").text
+        name = self.ident("pattern parameter")
         return name, (self.type_expr() if self.accept(":") else None)
 
     # types ------------------------------------------------------------------
 
     def type_expr(self) -> TypeExpr:
-        t = self.peek()
-        if self.accept("("):
-            args: list[TypeExpr] = []
-            if not self.at(")"):
+        if self.keys[self.pos] != "(":
+            return self.prefix_type()
+        t = self.next()
+        args: list[TypeExpr] = []
+        if self.keys[self.pos] != ")":
+            args.append(self.type_expr())
+            while self.accept(","):
                 args.append(self.type_expr())
-                while self.accept(","):
-                    args.append(self.type_expr())
-            self.expect(")")
-            if self.accept("->"):
-                return SvcT((*args, SvcT((self.type_expr(),))))
-            if len(args) == 1:
-                return args[0]
-            if not args:
-                raise ParseError("empty type parentheses", t.loc)
-            return DataT("Tuple", tuple(args))
-        return self.prefix_type()
+        self.expect(")")
+        if self.accept("->"):
+            return SvcT((*args, SvcT((self.type_expr(),))))
+        if len(args) == 1:
+            return args[0]
+        if not args:
+            raise ParseError("empty type parentheses", t.loc)
+        return DataT("Tuple", tuple(args))
 
     def prefix_type(self) -> TypeExpr:
-        t = self.peek()
-        if self.accept("inst"):
-            return core.InstT(self.prefix_type())
-        if self.accept("img"):
-            return core.ImgT(self.prefix_type())
-        if self.accept("forall"):
-            var = self.ident("type variable").text
-            bound = self.type_expr() if self.accept("<:") else Top()
-            self.expect(".")
-            return Univ(var, bound, self.type_expr())
-        if self.accept("<"):
-            return SvcT(tuple(self.seq(">", self.type_expr)))
-        if self.accept("srv"):
-            self.expect("{")
-
-            def entry() -> tuple[str, TypeExpr]:
-                name, ty = self.typed_binder("service name")
-                if not isinstance(ty, SvcT):
-                    raise ParseError(f"service {name!r} must have a service type", t.loc)
-                return name, ty
-
-            return SrvT(tuple(self.seq("}", entry)))
-        if self.at("("):
-            return self.type_expr()
-        if t.kind == "IDENT" and t.text not in KEYWORDS:
-            self.next()
+        t = self.toks[self.pos]
+        key = self.keys[self.pos]
+        if key == "IDENT":
+            self.pos += 1
             name = t.text
-            if name == "Top":
-                return Top()
-            if name == "Unit":
-                return UnitT()
-            if name == "Bot":
-                return Bot()
-            if name == "SrvBot":
-                return SrvBot()
+            if name in _NAMED_TYPES:
+                return _NAMED_TYPES[name]()
             if name in ("Int", "Bool", "Float", "String"):
                 return BaseT(name)
             args = tuple(self.seq("]", self.type_expr)) if self.accept("[") else ()
@@ -662,19 +630,48 @@ class _Parser:
             if name[0].islower() and not args:
                 return TypeVar(name)
             return AliasT(name, args)
-        raise ParseError(f"expected a type, found {t.text!r}", t.loc)
+        if key == "(":
+            return self.type_expr()
+        if key not in ("inst", "img", "forall", "<", "srv"):
+            raise ParseError(f"expected a type, found {t.text!r}", t.loc)
+        self.pos += 1
+        if key == "inst":
+            return core.InstT(self.prefix_type())
+        if key == "img":
+            return core.ImgT(self.prefix_type())
+        if key == "forall":
+            var = self.ident("type variable")
+            bound = self.type_expr() if self.accept("<:") else Top()
+            self.expect(".")
+            return Univ(var, bound, self.type_expr())
+        if key == "<":
+            return SvcT(tuple(self.seq(">", self.type_expr)))
+        self.expect("{")
+
+        def entry() -> tuple[str, TypeExpr]:
+            name, ty = self.typed_binder("service name")
+            if not isinstance(ty, SvcT):
+                raise ParseError(f"service {name!r} must have a service type", t.loc)
+            return name, ty
+
+        return SrvT(tuple(self.seq("}", entry)))
+
+
+def _parse(text: str, rule: Callable[[_Parser], Any]) -> Any:
+    """Run `rule` over `text`'s tokens. Nesting deeper than Python's
+    recursion limit allows is a parse error at the token reached."""
+    p = _Parser(text)
+    try:
+        return rule(p)
+    except RecursionError:
+        raise ParseError("expression nested too deeply", p.peek().loc) from None
 
 
 def parse(text: str) -> Program:
     """Parse a .cpl source string into a surface program."""
-    return _Parser(text).program()
+    return _parse(text, _Parser.program)
 
 
 def parse_expr(text: str) -> Expr:
     """Parse a single expression (no defs or aliases)."""
-    p = _Parser(text)
-    e = p.expr()
-    t = p.peek()
-    if t.kind != "EOF":
-        raise ParseError(f"unexpected {t.text!r} after expression", t.loc)
-    return e
+    return _parse(text, _Parser.lone_expr)

@@ -1,10 +1,12 @@
 """CLI contract: subcommands, flags, exit codes, diagnostics, JSON input."""
 
 import json
+import re
 
 import pytest
 
 import cpl.toolchain as tc
+from conftest import fresh_cli
 from cpl.cli import main
 
 
@@ -64,6 +66,14 @@ def test_non_decimal_digit_is_a_parse_error(tmp_path, capsys):
         f.write_text(f"result<{ch}>\n", encoding="utf-8")
         assert main(["check", str(f)]) == 3
         assert capsys.readouterr().err.strip() == f"error: 1:8: unexpected character {ch!r}"
+
+
+def test_nesting_too_deep_for_the_parser_exits_three(tmp_path):
+    f = tmp_path / "deep.cpl"
+    f.write_text("(" * 3000 + "1" + ")" * 3000 + "\n")
+    rc, out, err = fresh_cli(["check", str(f)])
+    assert (rc, out) == (3, "")
+    assert re.fullmatch(r"error: 1:\d+: expression nested too deeply\n", err), err
 
 
 def test_locations_after_a_multiline_string(tmp_path, capsys):

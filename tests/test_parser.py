@@ -1,6 +1,9 @@
 """Concrete syntax: parsing, errors, and the pretty-print round trip."""
 
+import sys
+
 import pytest
+from conftest import fresh_interpreter
 from hypothesis import given, settings, strategies as st
 
 import cpl.toolchain as tc
@@ -163,6 +166,55 @@ class TestParse:
     def test_defs_need_semicolons(self):
         with pytest.raises(ParseError):
             parse("def F = par def G = par")
+
+    @pytest.mark.parametrize(
+        "src, msg, loc",
+        [
+            ('if c "then" x else y', "expected 'then', found 'then'", "1:6"),
+            ('f(a "," b)', "expected ',', found ','", "1:5"),
+            ('def x = 1 ";"', "expected ';', found ';'", "1:11"),
+        ],
+    )
+    def test_a_string_literal_is_not_the_punctuation_it_spells(self, src, msg, loc):
+        with pytest.raises(ParseError) as ei:
+            parse(src)
+        assert (ei.value.msg, str(ei.value.loc)) == (msg, loc)
+
+
+def test_long_cons_chain_parses_without_a_frame_per_element():
+    assert sys.getrecursionlimit() <= 1000
+    e = parse_expr(" :: ".join(map(str, range(10_000))) + " :: []")
+    for i in range(10_000):
+        assert e.op == "cons" and e.operands[0] == BaseLit(i)
+        e = e.operands[1]
+    assert e == ListV(())
+
+
+def test_nesting_capacity_at_the_default_recursion_limit():
+    """The deepest parenthesis nesting `parse_expr` accepts in a fresh
+    interpreter. It was 197 while each level took five Python frames; the
+    parser now takes three, so it reaches about 330."""
+    code = """
+from cpl.errors import ParseError
+from cpl.parser import parse_expr
+
+def parses(depth):
+    try:
+        parse_expr("(" * depth + "1" + ")" * depth)
+    except ParseError as exc:
+        assert exc.msg == "expression nested too deeply", exc
+        return False
+    return True
+
+lo, hi = 1, 2000
+while lo < hi:
+    mid = (lo + hi + 1) // 2
+    lo, hi = (mid, hi) if parses(mid) else (lo, mid - 1)
+print(lo)
+"""
+    rc, out, err = fresh_interpreter("-c", code)
+    assert rc == 0, err
+    assert int(out) >= 300
 
 
 # ---------------------------------------------------------------------------

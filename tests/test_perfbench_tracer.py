@@ -46,3 +46,11 @@ def test_every_concurrent_spawn_goes_through_rt_spawn(monkeypatch):
 
     counts = _traced(monkeypatch, run)
     assert counts["runtime.rt_spawn"] == counts["runtime.instances_end"] > 0
+
+
+def test_tracer_counts_the_bytes_each_load_parses(monkeypatch):
+    """`parser.bytes` over `parser.parse` spans gives `parser.kb_per_s`, so
+    a load that parsed without calling `cpl.parser.parse` would read 0."""
+    src = tc.example_source("fact.cpl") + "// λ, not ASCII\n"
+    counts = _traced(monkeypatch, lambda: tc.load_program(src, include_prelude=False))
+    assert counts["parser.bytes"] == len(src.encode()) > len(src)
