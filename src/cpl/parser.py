@@ -177,40 +177,51 @@ _TOKEN_RE = re.compile(
 
 
 def tokenize(src: str) -> list[Token]:
+    return _scan(src)[0]
+
+
+def _scan(src: str) -> tuple[list[Token], list[str]]:
+    """The tokens of `src`, and each token's key: its text for punctuation
+    and keywords, else its kind."""
     toks: list[Token] = []
+    keys: list[str] = []
     # `tuple.__new__` skips the Python-level constructor of the named tuple.
-    append, new = toks.append, tuple.__new__
+    append, new, key = toks.append, tuple.__new__, keys.append
     line, line_start = 1, 0
     m = None
     for m in _TOKEN_RE.finditer(src, 0, len(src.rstrip(" \t\r"))):
         kind = m.lastgroup
-        if kind == "NL":
-            line, line_start = line + 1, m.end()
-            continue
-        if kind == "COMMENT":
-            continue
         text = m[kind]
         col = m.end() - len(text) - line_start + 1
-        if kind == "IDENT":
+        if kind == "PUNCT":
+            key(text)
+        elif kind == "IDENT":
             if not (text[0].isalpha() or text[0] == "_"):
                 raise ParseError(f"unexpected character {text[0]!r}", Loc(line, col))
+            key(text if text in KEYWORDS else kind)
+        elif kind == "NL":
+            line, line_start = line + 1, m.end()
+            continue
+        elif kind == "COMMENT":
+            continue
         elif kind == "STRING":
-            raw, text = text, text[1:-1]
-            if "\\" in text:
-                text = re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]), text, flags=re.DOTALL)
-            append(new(Token, (kind, text, line, col)))
-            if "\n" in raw:
-                line += raw.count("\n")
-                line_start = src.rindex("\n", 0, m.end()) + 1
+            body = re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]), text[1:-1], flags=re.DOTALL)
+            append(new(Token, (kind, body, line, col)))
+            key(kind)
+            if "\n" in text:
+                line, line_start = line + text.count("\n"), src.rindex("\n", 0, m.end()) + 1
             continue
         elif kind == "ERR":
             msg = "unterminated string literal" if text == '"' else f"unexpected character {text!r}"
             raise ParseError(msg, Loc(line, col))
+        else:
+            key(kind)
         append(new(Token, (kind, text, line, col)))
     # EOF sits after trailing blanks, but a final comment does not move it.
     end = m.start("COMMENT") if m and m.lastgroup == "COMMENT" else len(src)
     append(Token("EOF", "", line, end - line_start + 1))
-    return toks
+    key("EOF")
+    return toks, keys
 
 
 # ---------------------------------------------------------------------------
@@ -236,26 +247,18 @@ _NAMED_TYPES = {"Top": Top, "Unit": UnitT, "Bot": Bot, "SrvBot": SrvBot}
 
 class _Parser:
     def __init__(self, src: str):
-        # One more EOF after the last, so that `keys[pos + 1]` never needs a
-        # bound; `next` stops at the first.
-        self.toks = tokenize(src)
+        # One more EOF after the last, so that neither `keys[pos + 1]` nor
+        # consuming the first EOF before an error needs a bound.
+        self.toks, self.keys = _scan(src)
         self.toks.append(self.toks[-1])
-        self.keys = [
-            text if kind == "PUNCT" or (kind == "IDENT" and text in KEYWORDS) else kind
-            for kind, text, _, _ in self.toks
-        ]
+        self.keys.append("EOF")
         self.pos = 0
 
     # token helpers --------------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.toks[self.pos]
-
     def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-        return t
+        self.pos += 1
+        return self.toks[self.pos - 1]
 
     def accept(self, key: str) -> bool:
         """Consume the next token if its key is `key`."""
@@ -438,11 +441,7 @@ class _Parser:
             self.expect(".")
             return TypeAbs(var, bound, self.expr(), loc=loc)
         operand = self.prefix_expr()  # key == "-"
-        if (
-            isinstance(operand, BaseLit)
-            and isinstance(operand.value, (int, float))
-            and not isinstance(operand.value, bool)
-        ):
+        if isinstance(operand, BaseLit) and type(operand.value) in (int, float):  # not bool
             return BaseLit(-operand.value, loc=loc)
         return BaseOp("sub", (BaseLit(0, loc=loc), operand), loc=loc)
 
@@ -472,14 +471,13 @@ class _Parser:
                     e = BaseOp(e.name, args, loc=loc)
                 else:
                     e = SApply(e, args, loc=loc)
-                continue
+                continue  # a call result stays callable: `f(a)(b)`
             callable_head = False
         return e
 
     def atom(self) -> Expr:
-        t = self.toks[self.pos]
-        key = self.keys[self.pos]
-        self.pos += 1  # the extra EOF keeps this in bounds, and EOF raises below
+        t = self.next()
+        key = self.keys[self.pos - 1]
         if key == "IDENT":
             return core.Var(t.text, loc=t.loc)
         if key == "INT":
@@ -532,7 +530,7 @@ class _Parser:
         self.expect("<")
         args = tuple(self.seq(">", self.expr))
         if not all(map(is_value, args)):
-            raise ParseError("buffered message arguments must be values", self.peek().loc)
+            raise ParseError("buffered message arguments must be values", self.toks[self.pos].loc)
         return MessageValue(name, args)
 
     def template(self, start: Token) -> Expr:
@@ -664,7 +662,7 @@ def _parse(text: str, rule: Callable[[_Parser], Any]) -> Any:
     try:
         return rule(p)
     except RecursionError:
-        raise ParseError("expression nested too deeply", p.peek().loc) from None
+        raise ParseError("expression nested too deeply", p.toks[p.pos].loc) from None
 
 
 def parse(text: str) -> Program:
