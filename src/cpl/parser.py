@@ -9,12 +9,13 @@ Precedence, loosest to tightest: `||` < `== != <= >=` (no chaining) < `::`
 (right) < `+ -` < `* / %` (both left) < prefix forms < postfix `#`, `<…>`,
 `[T]` and calls.
 
-Cost model: `tokenize` is one regex scan, and a token is one tuple of its
-kind, text, line and column; its `loc`, a `Loc`, is built only when a node
-or a `ParseError` reads it. The parser keeps one key per token (the text of
-punctuation and keywords, else the kind), so testing the next token is one
-comparison, and each form dispatches on the next key instead of trying its
-alternatives in turn.
+Cost model: one regex scan fills four arrays with each token's key (the
+text of punctuation and keywords, else the kind), text, line and column, as
+strings and ints that the garbage collector does not track. The parser names
+a token by its index and builds a `Loc` only when a node or a `ParseError`
+needs one; `tokenize` gives the same tokens as `Token` tuples whose `loc` is
+built on read. Testing the next token is one comparison of its key, and each
+form dispatches on the next key instead of trying its alternatives in turn.
 """
 
 from __future__ import annotations
@@ -163,10 +164,10 @@ _ESCAPES = {"n": "\n", "t": "\t"}
 
 # Leading blanks, then one alternative per token kind, tried in order, the
 # most frequent first. `\d` is what `int` accepts; an identifier must start
-# with a letter or `_`, which `tokenize` checks, as `\w` also admits digits
+# with a letter or `_`, which `_scan` checks, as `\w` also admits digits
 # such as `²`. A `"` that does not open a whole literal falls through to ERR.
-# `tokenize` stops the scan before trailing blanks, which would otherwise
-# backtrack into ERR.
+# `_scan` stops before trailing blanks, which would otherwise backtrack into
+# ERR.
 _TOKEN_RE = re.compile(
     r"[ \t\r]*(?:(?P<IDENT>[^\W\d][\w%]*)|(?P<COMMENT>//[^\n]*)"
     f"|(?P<PUNCT>{'|'.join(map(re.escape, _PUNCT2))}|[{re.escape(_PUNCT1)}])"
@@ -177,51 +178,53 @@ _TOKEN_RE = re.compile(
 
 
 def tokenize(src: str) -> list[Token]:
-    return _scan(src)[0]
+    keys, texts, lines, cols = _scan(src)
+    # Kinds are the only upper-case keys; the others are keywords or punctuation.
+    kinds = (k if k.isupper() else "IDENT" if k in KEYWORDS else "PUNCT" for k in keys)
+    return list(map(Token, kinds, texts, lines, cols))
 
 
-def _scan(src: str) -> tuple[list[Token], list[str]]:
-    """The tokens of `src`, and each token's key: its text for punctuation
-    and keywords, else its kind."""
-    toks: list[Token] = []
-    keys: list[str] = []
-    # `tuple.__new__` skips the Python-level constructor of the named tuple.
-    append, new, key = toks.append, tuple.__new__, keys.append
+def _scan(src: str) -> tuple[list[str], list[str], list[int], list[int]]:
+    """Each token's key (its text for punctuation and keywords, else its
+    kind), text, line and column, the last token being EOF."""
+    keys, texts, lines, cols = [], [], [], []
+    key, add_text, add_line, add_col = keys.append, texts.append, lines.append, cols.append
     line, line_start = 1, 0
     m = None
     for m in _TOKEN_RE.finditer(src, 0, len(src.rstrip(" \t\r"))):
         kind = m.lastgroup
+        if kind == "NL":
+            line, line_start = line + 1, m.end()
+            continue
+        if kind == "COMMENT":
+            continue
         text = m[kind]
-        col = m.end() - len(text) - line_start + 1
+        add_line(line)
+        add_col(m.end() - len(text) - line_start + 1)
         if kind == "PUNCT":
             key(text)
         elif kind == "IDENT":
             if not (text[0].isalpha() or text[0] == "_"):
-                raise ParseError(f"unexpected character {text[0]!r}", Loc(line, col))
+                raise ParseError(f"unexpected character {text[0]!r}", Loc(line, cols[-1]))
             key(text if text in KEYWORDS else kind)
-        elif kind == "NL":
-            line, line_start = line + 1, m.end()
-            continue
-        elif kind == "COMMENT":
-            continue
         elif kind == "STRING":
-            body = re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]), text[1:-1], flags=re.DOTALL)
-            append(new(Token, (kind, body, line, col)))
             key(kind)
             if "\n" in text:
                 line, line_start = line + text.count("\n"), src.rindex("\n", 0, m.end()) + 1
-            continue
+            text = re.sub(r"\\(.)", lambda e: _ESCAPES.get(e[1], e[1]), text[1:-1], flags=re.DOTALL)
         elif kind == "ERR":
             msg = "unterminated string literal" if text == '"' else f"unexpected character {text!r}"
-            raise ParseError(msg, Loc(line, col))
+            raise ParseError(msg, Loc(line, cols[-1]))
         else:
             key(kind)
-        append(new(Token, (kind, text, line, col)))
+        add_text(text)
     # EOF sits after trailing blanks, but a final comment does not move it.
     end = m.start("COMMENT") if m and m.lastgroup == "COMMENT" else len(src)
-    append(Token("EOF", "", line, end - line_start + 1))
     key("EOF")
-    return toks, keys
+    add_text("")
+    add_line(line)
+    add_col(end - line_start + 1)
+    return keys, texts, lines, cols
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +249,26 @@ _NAMED_TYPES = {"Top": Top, "Unit": UnitT, "Bot": Bot, "SrvBot": SrvBot}
 
 
 class _Parser:
+    """Recursive descent over `_scan`'s arrays; a token is its index."""
+
     def __init__(self, src: str):
-        # One more EOF after the last, so that neither `keys[pos + 1]` nor
-        # consuming the first EOF before an error needs a bound.
-        self.toks, self.keys = _scan(src)
-        self.toks.append(self.toks[-1])
+        self.keys, self.texts, self.lines, self.cols = _scan(src)
+        # One more EOF key, so that `keys[pos + 1]` never needs a bound;
+        # `next` stops at the first.
         self.keys.append("EOF")
         self.pos = 0
 
     # token helpers --------------------------------------------------------
 
-    def next(self) -> Token:
-        self.pos += 1
-        return self.toks[self.pos - 1]
+    def loc(self, i: int) -> Loc:
+        return Loc(self.lines[i], self.cols[i])
+
+    def next(self) -> int:
+        """Consume the next token; its index."""
+        i = self.pos
+        if self.keys[i] != "EOF":
+            self.pos = i + 1
+        return i
 
     def accept(self, key: str) -> bool:
         """Consume the next token if its key is `key`."""
@@ -267,33 +277,33 @@ class _Parser:
             return True
         return False
 
-    def expect(self, key: str) -> Token:
-        t = self.toks[self.pos]
+    def found(self, what: str) -> ParseError:
+        """The error `what` at the next token, which the message names."""
+        return ParseError(f"{what}, found {self.texts[self.pos]!r}", self.loc(self.pos))
+
+    def expect(self, key: str) -> None:
         if self.keys[self.pos] != key:
-            raise ParseError(f"expected {key!r}, found {t.text!r}", t.loc)
+            raise self.found(f"expected {key!r}")
         self.pos += 1
-        return t
 
     def ident(self, what: str = "identifier") -> str:
-        t = self.toks[self.pos]
         if self.keys[self.pos] != "IDENT":
-            raise ParseError(f"expected {what}, found {t.text!r}", t.loc)
-        self.pos += 1
-        return t.text
+            raise self.found(f"expected {what}")
+        return self.texts[self.next()]
 
-    def service_name(self) -> Token:
+    def service_name(self) -> int:
         # Service names live in their own namespace; keywords are permitted
         # (desugared wrappers use services named let/k).
-        t = self.toks[self.pos]
-        if t.kind != "IDENT":
-            raise ParseError(f"expected a service name, found {t.text!r}", t.loc)
-        self.pos += 1
-        return t
+        key = self.keys[self.pos]
+        if key != "IDENT" and key not in KEYWORDS:
+            raise self.found("expected a service name")
+        return self.next()
 
-    def end(self, what: str) -> None:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            raise ParseError(f"unexpected {t.text!r} after {what}", t.loc)
+    def end(self, what: str, result: Any) -> Any:
+        """`result`, the `what` just parsed, if nothing follows it."""
+        if self.keys[self.pos] != "EOF":
+            raise ParseError(f"unexpected {self.texts[self.pos]!r} after {what}", self.loc(self.pos))
+        return result
 
     def seq(self, close: str, item: Callable[[], Any]) -> list[Any]:
         """Comma-separated `item`s up to `close`, which is consumed."""
@@ -320,7 +330,7 @@ class _Parser:
         defs: list[Definition] = []
         while True:
             if self.keys[self.pos] == "def":
-                loc = self.next().loc
+                loc = self.loc(self.next())
                 name = self.ident("definition name")
                 ann = self.type_expr() if self.accept(":") else None
                 self.expect("=")
@@ -328,7 +338,7 @@ class _Parser:
                 self.expect(";")
                 defs.append(Definition(name, ann, rhs, loc))
             elif self.keys[self.pos] == "type":
-                loc = self.next().loc
+                loc = self.loc(self.next())
                 name = self.ident("type alias name")
                 params: list[str] = []
                 if self.accept("["):
@@ -341,14 +351,8 @@ class _Parser:
                 break
         main: Optional[Expr] = None
         if self.keys[self.pos] != "EOF":
-            main = self.expr()
-            self.end("main expression")
+            main = self.end("main expression", self.expr())
         return Program(tuple(aliases), tuple(defs), main)
-
-    def lone_expr(self) -> Expr:
-        e = self.expr()
-        self.end("expression")
-        return e
 
     # expressions ----------------------------------------------------------
 
@@ -362,25 +366,24 @@ class _Parser:
                 return left
             name, prec = op
             if prec == 0:
-                # No flattening here: `(a || b) || c` stays nested so parsing
-                # is the exact inverse of pretty-printing. Rule Par flattens
-                # at run time.
+                # No flattening: `(a || b) || c` stays nested so parsing is the
+                # exact inverse of pretty-printing. Rule Par flattens at run time.
                 parts = [left]
                 while self.accept("||"):
                     parts.append(self.expr(1))
                 return Par(tuple(parts), loc=getattr(left, "loc", None))
-            t = self.next()
+            i = self.next()
             if prec == 2:
                 # A `::` chain is built in a loop, not one frame per element.
-                ops, operands = [t], [left, self.expr(3)]
+                ops, operands = [i], [left, self.expr(3)]
                 while keys[self.pos] == "::":
                     ops.append(self.next())
                     operands.append(self.expr(3))
                 left = operands.pop()
-                for t in reversed(ops):
-                    left = BaseOp("cons", (operands.pop(), left), loc=t.loc)
+                for i in reversed(ops):
+                    left = BaseOp("cons", (operands.pop(), left), loc=self.loc(i))
                 continue
-            left = BaseOp(name, (left, self.expr(prec + 1)), loc=t.loc)
+            left = BaseOp(name, (left, self.expr(prec + 1)), loc=self.loc(i))
             if prec == 1 and keys[self.pos] != "||":
                 return left  # comparisons do not chain
 
@@ -388,7 +391,7 @@ class _Parser:
         key = self.keys[self.pos]
         if key not in _PREFIX:
             return self.postfix_expr()
-        loc = self.next().loc
+        loc = self.loc(self.next())
         if key == "spwn":
             placement = Placement.LOCAL if self.accept("local") else Placement.REMOTE
             return Spwn(self.prefix_expr(), placement, loc=loc)
@@ -456,9 +459,9 @@ class _Parser:
         while (key := keys[self.pos]) in _POSTFIX:
             if key == "(" and not callable_head:
                 break
-            loc = self.next().loc
+            loc = self.loc(self.next())
             if key == "#":
-                e = ServiceRef(e, self.service_name().text, loc=loc)
+                e = ServiceRef(e, self.texts[self.service_name()], loc=loc)
             elif key == "<":
                 e = Request(e, tuple(self.seq(">", self.expr)), loc=loc)
             elif key == "[":
@@ -476,35 +479,36 @@ class _Parser:
         return e
 
     def atom(self) -> Expr:
-        t = self.next()
-        key = self.keys[self.pos - 1]
+        i = self.next()
+        key, text = self.keys[i], self.texts[i]
         if key == "IDENT":
-            return core.Var(t.text, loc=t.loc)
+            return core.Var(text, loc=self.loc(i))
         if key == "INT":
-            return BaseLit(int(t.text), loc=t.loc)
+            return BaseLit(int(text), loc=self.loc(i))
         if key == "(":
             if self.keys[self.pos] == ")":
-                raise ParseError("empty parentheses are not an expression", t.loc)
+                raise ParseError("empty parentheses are not an expression", self.loc(i))
             items = [self.expr()]
             while self.accept(","):
                 items.append(self.expr())
             self.expect(")")
-            return items[0] if len(items) == 1 else TupleV(tuple(items), loc=t.loc)
+            return items[0] if len(items) == 1 else TupleV(tuple(items), loc=self.loc(i))
+        loc = self.loc(i)
         if key == "STRING":
-            return BaseLit(t.text, loc=t.loc)
+            return BaseLit(text, loc=loc)
         if key == "FLOAT":
-            return BaseLit(float(t.text), loc=t.loc)
+            return BaseLit(float(text), loc=loc)
         if key in ("true", "false"):
-            return BaseLit(key == "true", loc=t.loc)
+            return BaseLit(key == "true", loc=loc)
         if key == "this":
-            return This(loc=t.loc)
+            return This(loc=loc)
         if key == "zero":
-            return ZeroImage(loc=t.loc)
+            return ZeroImage(loc=loc)
         if key == "par":
             items = self.seq(")", self.expr) if self.accept("(") else ()
-            return Par(tuple(items), loc=t.loc)
+            return Par(tuple(items), loc=loc)
         if key == "srv":
-            return self.template(t)
+            return self.template(loc)
         if key == "img":
             self.expect("(")
             tmpl = self.expr()
@@ -512,28 +516,28 @@ class _Parser:
             self.expect("[")
             buf = tuple(self.seq("]", self.message))
             self.expect(")")
-            return Image(tmpl, buf, loc=t.loc)
+            return Image(tmpl, buf, loc=loc)
         if key == "^":
-            return ExternalRef(self.ident("external service name"), loc=t.loc)
+            return ExternalRef(self.ident("external service name"), loc=loc)
         if key == "@":
             placement = Placement.LOCAL if self.accept("~") else Placement.REMOTE
             num = self.next()
-            if num.kind != "INT":
-                raise ParseError("expected address number after @", num.loc)
-            return Addr(Address(int(num.text), placement), loc=t.loc)
+            if self.keys[num] != "INT":
+                raise ParseError("expected address number after @", self.loc(num))
+            return Addr(Address(int(self.texts[num]), placement), loc=loc)
         if key == "[":
-            return ListV(tuple(self.seq("]", self.expr)), loc=t.loc)
-        raise ParseError(f"unexpected token {t.text!r}", t.loc)
+            return ListV(tuple(self.seq("]", self.expr)), loc=loc)
+        raise ParseError(f"unexpected token {text!r}", loc)
 
     def message(self) -> MessageValue:
-        name = self.service_name().text
+        name = self.texts[self.service_name()]
         self.expect("<")
         args = tuple(self.seq(">", self.expr))
         if not all(map(is_value, args)):
-            raise ParseError("buffered message arguments must be values", self.toks[self.pos].loc)
+            raise ParseError("buffered message arguments must be values", self.loc(self.pos))
         return MessageValue(name, args)
 
-    def template(self, start: Token) -> Expr:
+    def template(self, loc: Loc) -> Expr:
         transparent = self.accept("*")
         self.expect("{")
         header: dict[str, SvcT] = {}
@@ -543,9 +547,9 @@ class _Parser:
         while keys[self.pos] == "IDENT" and keys[self.pos + 1] == ":":
             name, ty = self.typed_binder("identifier")
             if not isinstance(ty, SvcT):
-                raise ParseError(f"service {name!r} must be declared at a service type", start.loc)
+                raise ParseError(f"service {name!r} must be declared at a service type", loc)
             if name in header:
-                raise ParseError(f"duplicate service declaration {name!r}", start.loc)
+                raise ParseError(f"duplicate service declaration {name!r}", loc)
             header[name] = ty
             self.accept(",")
         rules: list[ReactionRule] = []
@@ -553,8 +557,8 @@ class _Parser:
             rules.append(self.rule(header))
         self.pos += 1
         if not rules:
-            raise ParseError("server template needs at least one rule", start.loc)
-        return ServerTemplate(tuple(rules), transparent, loc=start.loc)
+            raise ParseError("server template needs at least one rule", loc)
+        return ServerTemplate(tuple(rules), transparent, loc=loc)
 
     def rule(self, header: dict[str, SvcT]) -> ReactionRule:
         patterns = [self.pattern(header)]
@@ -565,28 +569,29 @@ class _Parser:
         return ReactionRule(tuple(patterns), body)
 
     def pattern(self, header: dict[str, SvcT]) -> JoinPattern:
-        name_tok = self.service_name()
+        at = self.service_name()
+        service = self.texts[at]
         self.expect("<")
         params = self.seq(">", self.pattern_param)
-        declared = header.get(name_tok.text)
+        declared = header.get(service)
         resolved: list[tuple[str, TypeExpr]] = []
         for idx, (p, ann) in enumerate(params):
             if ann is None:
                 if declared is None or len(declared.args) != len(params):
                     raise ParseError(
-                        f"parameter {p!r} of service {name_tok.text!r} needs a type "
+                        f"parameter {p!r} of service {service!r} needs a type "
                         "annotation (inline or via a header declaration)",
-                        name_tok.loc,
+                        self.loc(at),
                     )
                 ann = declared.args[idx]
             resolved.append((p, ann))
         if declared is not None and len(declared.args) != len(params):
             raise ParseError(
-                f"service {name_tok.text!r} declared with {len(declared.args)} "
+                f"service {service!r} declared with {len(declared.args)} "
                 f"parameters but pattern has {len(params)}",
-                name_tok.loc,
+                self.loc(at),
             )
-        return JoinPattern(name_tok.text, tuple(resolved))
+        return JoinPattern(service, tuple(resolved))
 
     def pattern_param(self) -> tuple[str, Optional[TypeExpr]]:
         name = self.ident("pattern parameter")
@@ -597,7 +602,7 @@ class _Parser:
     def type_expr(self) -> TypeExpr:
         if self.keys[self.pos] != "(":
             return self.prefix_type()
-        t = self.next()
+        i = self.next()
         args: list[TypeExpr] = []
         if self.keys[self.pos] != ")":
             args.append(self.type_expr())
@@ -609,15 +614,13 @@ class _Parser:
         if len(args) == 1:
             return args[0]
         if not args:
-            raise ParseError("empty type parentheses", t.loc)
+            raise ParseError("empty type parentheses", self.loc(i))
         return DataT("Tuple", tuple(args))
 
     def prefix_type(self) -> TypeExpr:
-        t = self.toks[self.pos]
         key = self.keys[self.pos]
         if key == "IDENT":
-            self.pos += 1
-            name = t.text
+            name = self.texts[self.next()]
             if name in _NAMED_TYPES:
                 return _NAMED_TYPES[name]()
             if name in ("Int", "Bool", "Float", "String"):
@@ -631,8 +634,8 @@ class _Parser:
         if key == "(":
             return self.type_expr()
         if key not in ("inst", "img", "forall", "<", "srv"):
-            raise ParseError(f"expected a type, found {t.text!r}", t.loc)
-        self.pos += 1
+            raise self.found("expected a type")
+        i = self.next()
         if key == "inst":
             return core.InstT(self.prefix_type())
         if key == "img":
@@ -649,7 +652,7 @@ class _Parser:
         def entry() -> tuple[str, TypeExpr]:
             name, ty = self.typed_binder("service name")
             if not isinstance(ty, SvcT):
-                raise ParseError(f"service {name!r} must have a service type", t.loc)
+                raise ParseError(f"service {name!r} must have a service type", self.loc(i))
             return name, ty
 
         return SrvT(tuple(self.seq("}", entry)))
@@ -662,7 +665,7 @@ def _parse(text: str, rule: Callable[[_Parser], Any]) -> Any:
     try:
         return rule(p)
     except RecursionError:
-        raise ParseError("expression nested too deeply", p.toks[p.pos].loc) from None
+        raise ParseError("expression nested too deeply", p.loc(p.pos)) from None
 
 
 def parse(text: str) -> Program:
@@ -672,4 +675,4 @@ def parse(text: str) -> Program:
 
 def parse_expr(text: str) -> Expr:
     """Parse a single expression (no defs or aliases)."""
-    return _parse(text, _Parser.lone_expr)
+    return _parse(text, lambda p: p.end("expression", p.expr()))
