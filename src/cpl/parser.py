@@ -314,7 +314,7 @@ class _Parser:
             if keys[self.pos] == ",":
                 self.pos += 1
             elif keys[self.pos] != close:
-                self.expect(",")
+                raise self.found("expected ','")
         self.pos += 1
         return out
 
