@@ -34,6 +34,7 @@ from .core import (
     is_value,
 )
 from .errors import MachineError
+from .frozen import frozen
 
 PROJECTIONS = ("fst", "snd", "thrd", "frth")
 
@@ -71,7 +72,7 @@ class Operands(Protocol):
         """Reject the operands."""
 
 
-@dataclass(frozen=True)
+@frozen
 class Op:
     arity: int
     run: Callable[[tuple[Expr, ...], EffectContext], Expr]

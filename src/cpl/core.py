@@ -1,16 +1,24 @@
 """Core term and type language: expressions, types, routing tables, substitution.
 
 Everything here is immutable; values can be shared freely across threads.
+
+Node classes are `@frozen` (`cpl.frozen`): frozen dataclasses whose
+methods are renamed copies of templates compiled once per field count,
+because compiling generated source for each class, as `dataclasses` does,
+was a third of importing the toolchain. Derived data (`_fvcache`,
+`_scache`, ...) is cached on nodes as attributes set with
+`object.__setattr__`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from enum import Enum
 from itertools import chain
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import LinearityError, Loc
+from .frozen import frozen
 
 # The self-reference is a distinguished token; it is stored under this key in
 # substitutions and free-variable sets so shadowing rules stay explicit.
@@ -34,41 +42,41 @@ class TypeExpr:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class Top(TypeExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class UnitT(TypeExpr):
     pass
 
 
-@dataclass(frozen=True)
+@frozen
 class Bot(TypeExpr):
     """Internal least type; the minimal type of empty collection literals."""
 
 
-@dataclass(frozen=True)
+@frozen
 class BaseT(TypeExpr):
     """Primitive data type: Int, Bool, Float or String."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class TypeVar(TypeExpr):
     name: str
 
 
-@dataclass(frozen=True)
+@frozen
 class SvcT(TypeExpr):
     """Service type <T1, ..., Tn>."""
 
     args: tuple[TypeExpr, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class SrvT(TypeExpr):
     """Server-template type; a finite map from service names to service types.
 
@@ -92,22 +100,22 @@ class SrvT(TypeExpr):
         return None
 
 
-@dataclass(frozen=True)
+@frozen
 class SrvBot(TypeExpr):
     """The template type of inert servers; subtype of every server type."""
 
 
-@dataclass(frozen=True)
+@frozen
 class InstT(TypeExpr):
     inner: TypeExpr
 
 
-@dataclass(frozen=True)
+@frozen
 class ImgT(TypeExpr):
     inner: TypeExpr
 
 
-@dataclass(frozen=True, eq=False)
+@frozen
 class Univ(TypeExpr):
     """Bounded universal; kernel variant (bounds compared for equality).
 
@@ -136,7 +144,7 @@ class Univ(TypeExpr):
         return hash(self.bound)
 
 
-@dataclass(frozen=True)
+@frozen
 class DataT(TypeExpr):
     """Built-in data constructor: List[T], Tuple[T...], Map[K, V]."""
 
@@ -144,7 +152,7 @@ class DataT(TypeExpr):
     args: tuple[TypeExpr, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class AliasT(TypeExpr):
     """Unexpanded type-alias application; eliminated by desugaring."""
 
@@ -175,18 +183,18 @@ def _loc_field() -> Loc | None:
     return field(default=None, compare=False, repr=False)  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
+@frozen
 class Var(Expr):
     name: str
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class This(Expr):
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class JoinPattern:
     service: str
     params: tuple[tuple[str, TypeExpr], ...]
@@ -196,7 +204,7 @@ class JoinPattern:
         return tuple(n for n, _ in self.params)
 
 
-@dataclass(frozen=True)
+@frozen
 class ReactionRule:
     patterns: tuple[JoinPattern, ...]
     body: Expr
@@ -216,7 +224,7 @@ class ReactionRule:
         return tuple(n for p in self.patterns for n in p.param_names)
 
 
-@dataclass(frozen=True)
+@frozen
 class ServerTemplate(Expr):
     rules: tuple[ReactionRule, ...]
     # Derived forms that wrap a body containing a free `this` are marked
@@ -234,47 +242,47 @@ class ServerTemplate(Expr):
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@frozen
 class Spwn(Expr):
     expr: Expr
     placement: Placement = Placement.REMOTE
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class ServiceRef(Expr):
     target: Expr
     service: str
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class Request(Expr):
     callee: Expr
     args: tuple[Expr, ...]
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class Par(Expr):
     exprs: tuple[Expr, ...]
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class Snap(Expr):
     expr: Expr
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class Repl(Expr):
     target: Expr
     image: Expr
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class Address:
     id: int
     placement: Placement = Placement.REMOTE
@@ -285,19 +293,19 @@ class Address:
         return hash(self.id)
 
 
-@dataclass(frozen=True)
+@frozen
 class Addr(Expr):
     address: Address
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class MessageValue:
     service: str
     args: tuple[Expr, ...]
 
 
-@dataclass(frozen=True)
+@frozen
 class Image(Expr):
     """Server image expression (template, buffer); a value once closed."""
 
@@ -306,12 +314,12 @@ class Image(Expr):
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class ZeroImage(Expr):
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class TypeAbs(Expr):
     var: str
     bound: TypeExpr
@@ -319,27 +327,27 @@ class TypeAbs(Expr):
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class TypeApp(Expr):
     expr: Expr
     arg: TypeExpr
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class BaseOp(Expr):
     op: str
     operands: tuple[Expr, ...]
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class BaseLit(Expr):
     value: Union[int, bool, float, str]
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class If(Expr):
     """Built-in conditional; branches are not evaluation contexts."""
 
@@ -349,19 +357,19 @@ class If(Expr):
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class TupleV(Expr):
     items: tuple[Expr, ...]
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class ListV(Expr):
     items: tuple[Expr, ...]
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class MapV(Expr):
     """Map value; entries kept sorted by key digest for canonical equality."""
 
@@ -374,7 +382,7 @@ class MapV(Expr):
         )
 
 
-@dataclass(frozen=True)
+@frozen
 class ExternalRef(Expr):
     """Engine-provided service endpoint (observer sink or timer); a value.
 
@@ -393,7 +401,7 @@ class ServerImage:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@frozen
 class Inert(ServerImage):
     pass
 

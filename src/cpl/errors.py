@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .frozen import frozen
 
 
-@dataclass(frozen=True)
+@frozen
 class Loc:
     """Source position (1-based line and column)."""
 

@@ -91,6 +91,7 @@ from .core import (
     substitute_type_in_expr,
 )
 from .errors import ExplosionError, StuckError
+from .frozen import frozen
 from .pretty import pretty_expr
 
 Observation = tuple[int, str, tuple[Expr, ...]]
@@ -195,7 +196,7 @@ def deterministic(seed: int = 0) -> Policy:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class MatchResult:
     consumed: tuple[MessageValue, ...]
     residual: Union[Mailbox, tuple[MessageValue, ...]]  # a mailbox for a mailbox
@@ -503,7 +504,7 @@ def branch(cond: Expr, then: Expr, orelse: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class Stepped:
     config: Config
     rule: str
@@ -628,7 +629,7 @@ def _contract(config: Config, e: Expr, pos: Position) -> Stepped:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class TraceStep:
     index: int
     rule: str

@@ -21,7 +21,6 @@ form dispatches on the next key instead of trying its alternatives in turn.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Optional
 
 from . import core
@@ -68,6 +67,7 @@ from .core import (
     is_value,
 )
 from .errors import Loc, ParseError
+from .frozen import frozen
 
 KEYWORDS = {
     "srv", "spwn", "local", "snap", "repl", "this", "par", "let", "letk",
@@ -80,7 +80,7 @@ KEYWORDS = {
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@frozen
 class SLet(Expr):
     name: str
     ann: Optional[TypeExpr]
@@ -89,7 +89,7 @@ class SLet(Expr):
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class SLetK(Expr):
     binders: tuple[tuple[str, TypeExpr], ...]  # one, or several (destructuring)
     rhs: Expr
@@ -97,7 +97,7 @@ class SLetK(Expr):
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class SLambda(Expr):
     params: tuple[tuple[str, TypeExpr], ...]
     ret: TypeExpr
@@ -105,21 +105,21 @@ class SLambda(Expr):
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class SApply(Expr):
     fn: Expr
     args: tuple[Expr, ...]
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class SThunk(Expr):
     ann: Optional[TypeExpr]
     body: Expr
     loc: Loc | None = _loc_field()
 
 
-@dataclass(frozen=True)
+@frozen
 class Definition:
     name: str
     ann: Optional[TypeExpr]
@@ -127,7 +127,7 @@ class Definition:
     loc: Loc | None = None
 
 
-@dataclass(frozen=True)
+@frozen
 class TypeAliasDef:
     name: str
     params: tuple[str, ...]
@@ -135,7 +135,7 @@ class TypeAliasDef:
     loc: Loc | None = None
 
 
-@dataclass(frozen=True)
+@frozen
 class Program:
     aliases: tuple[TypeAliasDef, ...]
     defs: tuple[Definition, ...]

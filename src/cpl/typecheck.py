@@ -10,7 +10,6 @@ admissible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .builtins import OPS
@@ -66,6 +65,7 @@ from .core import (
     substitute_type_in_type,
 )
 from .errors import CplError, Loc
+from .frozen import frozen
 from .pretty import pretty_type
 
 
@@ -96,7 +96,7 @@ class TypeCheckError(CplError):
         self.actual = actual
 
 
-@dataclass(frozen=True)
+@frozen
 class TypeContext:
     """Ordered bindings; lookup returns the rightmost entry."""
 

@@ -550,6 +550,43 @@ def test_pinned_evaluator_faults(case):
     assert str(ei.value) == PINNED_FAULTS[case]
 
 
+@pytest.mark.parametrize("engine", ["smallstep", "concurrent"])
+def test_cli_prints_a_fault_text_with_the_operand_repr(tmp_path, capsys, monkeypatch, engine):
+    """A builtin fault names its operand by `repr`; run unchecked, it is one
+    stderr line and exit 4 on both engines."""
+    import cpl.toolchain as tc
+
+    monkeypatch.setattr(tc, "check_expr", lambda core, env: None)
+    f = tmp_path / "fault.cpl"
+    f.write_text("result<cons(1, 3)>\n")
+    assert main(["run", str(f), "--no-prelude", f"--engine={engine}"]) == 4
+    assert capsys.readouterr().err == "internal error: cons: expected a List, got BaseLit(value=3)\n"
+
+
+# Map entries are ordered by the `repr` of their keys, which differs from
+# the order of the key values: `"it's"` prints with double quotes, and
+# "-3" < "10" < "2" as text.
+MAPS = 'result<(mkMap([("b", 1), ("it\'s", 2), ("a", 3)]), mkMap([(10, 1), (-3, 2), (2, 3)]), ' \
+       'mkMap([((1, -1), 1), ((-1, 2), 2), ((1, 10), 3)]))>\n'
+
+
+@pytest.mark.parametrize("engine", ["smallstep", "concurrent"])
+def test_map_entries_print_in_key_repr_order(tmp_path, capsys, engine):
+    f = tmp_path / "maps.cpl"
+    f.write_text(MAPS)
+    assert main(["run", str(f), "--no-prelude", f"--engine={engine}"]) == 0
+    assert json.loads(capsys.readouterr().out)["args"] == [[
+        {"it's": 2, "a": 3, "b": 1},
+        [[-3, 2], [10, 1], [2, 3]],
+        [[[-1, 2], 2], [[1, -1], 1], [[1, 10], 3]],
+    ]]
+    assert main(["trace", str(f), "--no-prelude"]) == 0
+    assert capsys.readouterr().out.splitlines()[5] == (
+        '  par(^result<(mkMap([("it\'s", 2), ("a", 3), ("b", 1)]), mkMap([(-3, 2), (10, 1), (2, 3)]), '
+        "mkMap([((-1, 2), 2), ((1, -1), 1), ((1, 10), 3)]))>)"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Guards over the one table
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from cpl.core import (
     BaseLit,
     BaseT,
     Image,
+    Inert,
     JoinPattern,
     MessageValue,
     Par,
@@ -367,3 +368,116 @@ def test_renaming_preserves_observables(v):
     assert out.service_names() == target.service_names()
     assert expr_type_vars(out) == expr_type_vars(target) | expr_type_vars(v)
     assert alpha_eq(out, substitute(target, {"f": v}))
+
+
+def one_of_each_frozen_class():
+    """Instances covering every frozen class of the toolchain: the node
+    classes above (each twice, the second with a position) and the records
+    of the other layers, some classes with unequal pairs."""
+    import cpl.builtins as builtins
+    import cpl.machine as machine
+    import cpl.parser as parser
+    import cpl.typecheck as typecheck
+
+    x, y, loc = Var("x"), BaseLit(2), Loc(3, 9)
+    alias = parser.TypeAliasDef("A", ("t",), TypeVar("t"), loc)
+    definition = parser.Definition("D", None, x, Loc(1, 1))
+    return [
+        *one_of_each_type_class(), BaseT("Bool"), Univ("b", INT, TypeVar("b")),
+        *one_of_each_expr_class(None), *one_of_each_expr_class(loc), BaseLit("it's"), BaseLit(-3),
+        *FACT_TEMPLATE.rules, *FACT_TEMPLATE.rules[1].patterns,
+        Address(4), Address(4, Placement.LOCAL), MessageValue("go", (x,)), Inert(),
+        loc, Loc(3, 10),
+        parser.SLet("v", None, y, x, loc=loc), parser.SLetK((("a", INT),), x, y), parser.SLambda((("p", INT),), INT, x),
+        parser.SApply(x, (y,)), parser.SThunk(None, x), definition, alias, parser.Program((alias,), (definition,), x),
+        typecheck.TypeContext(), typecheck.TypeContext((("var", "x", INT),)),
+        builtins.OPS["add"],
+        machine.MatchResult((MessageValue("go", (y,)),), (), (("x", y),)),
+        machine.Stepped(machine.initial_config(x), "Par", "detail"),
+        machine.TraceStep(0, "Par", "detail", "top"),
+    ]
+
+
+def frozen_classes():
+    """Every dataclass of the toolchain whose instances refuse assignment."""
+    import dataclasses
+    import importlib
+    import inspect
+
+    mods = [importlib.import_module(f"cpl.{m}") for m in ("builtins", "core", "errors", "machine", "parser", "typecheck")]
+    return {
+        c for m in mods for _, c in inspect.getmembers(m, inspect.isclass)
+        if c.__module__ == m.__name__ and dataclasses.is_dataclass(c) and "__setattr__" in c.__dict__
+    }
+
+
+def outcome(fn, *args):
+    """`fn(*args)`, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001 - the exception type is the outcome
+        return type(e)
+
+
+class TestNodeContract:
+    """Each frozen class behaves as a frozen dataclass with its fields: a
+    twin made by `dataclasses.make_dataclass` from them is the reference."""
+
+    OWN_EQUALITY = {"Univ", "Address"}
+
+    def twins(self):
+        import dataclasses
+
+        out = {}
+        for cls in frozen_classes():
+            fs = [
+                (f.name, f.type, dataclasses.field(default=f.default, repr=f.repr, compare=f.compare))
+                for f in dataclasses.fields(cls)
+            ]
+            post = {"__post_init__": cls.__post_init__} if hasattr(cls, "__post_init__") else {}
+            out[cls] = dataclasses.make_dataclass(cls.__name__, fs, frozen=True, namespace=post)
+        return out
+
+    def test_samples_cover_every_frozen_class(self):
+        assert len(frozen_classes()) >= 50
+        assert {type(x) for x in one_of_each_frozen_class()} == frozen_classes()
+
+    def test_constructors_repr_eq_and_hash_match_the_twins(self):
+        import dataclasses
+        import inspect
+
+        twins = self.twins()
+        samples = one_of_each_frozen_class()
+        pairs = []
+        for x in samples:
+            cls, twin = type(x), twins[type(x)]
+            kw = {f.name: getattr(x, f.name) for f in dataclasses.fields(x)}
+            assert inspect.signature(cls) == inspect.signature(twin), cls
+            t = twin(**kw)
+            assert repr(cls(*kw.values())) == repr(cls(**kw)) == repr(x) == repr(t)
+            assert repr(dataclasses.replace(x)) == repr(x)
+            if cls.__name__ not in self.OWN_EQUALITY:
+                assert outcome(hash, x) == outcome(hash, t), cls
+            pairs.append((x, t))
+        for x, t in pairs:
+            for y, u in pairs:
+                if type(x).__name__ not in self.OWN_EQUALITY:
+                    assert (x == y, x != y) == (t == u, t != u), (x, y)
+
+    @pytest.mark.parametrize("x", one_of_each_frozen_class(), ids=lambda x: type(x).__name__)
+    def test_assignment_and_deletion_raise(self, x):
+        import dataclasses
+
+        for name in [f.name for f in dataclasses.fields(x)] + ["_cache"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(x, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(x, name)
+
+    def test_univ_is_alpha_equivalence_and_address_hashes_its_id(self):
+        a = Univ("a", Top(), SvcT((TypeVar("a"),)))
+        b = Univ("b", Top(), SvcT((TypeVar("b"),)))
+        assert a == b and hash(a) == hash(b) == hash(Top())
+        assert a != Univ("b", Top(), SvcT((TypeVar("a"),)))
+        assert Address(4) == Address(4) != Address(4, Placement.LOCAL)
+        assert hash(Address(4, Placement.LOCAL)) == hash(4)
