@@ -177,6 +177,9 @@ STRING = BaseT("String")
 
 class Expr:
     __slots__ = ()
+    # Whether the term is a value: a flag of its class, or None until
+    # `is_value` computes it for the instance.
+    _vcache = None
 
 
 def _loc_field() -> Loc | None:
@@ -680,24 +683,32 @@ def with_children(e: Expr, kids: Sequence[Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 
 
+# The classes whose values are all of their instances or none of them carry
+# that as the class attribute `_vcache`; the others decide per instance by
+# their rule here, and `is_value` caches the answer on the node. A class of
+# neither kind (surface sugar) is not a value.
+for _cls in (Var, This, Spwn, Request, Snap, Repl, TypeApp, BaseOp, If):
+    _cls._vcache = False
+for _cls in (ServerTemplate, Addr, ZeroImage, TypeAbs, BaseLit, ExternalRef):
+    _cls._vcache = True
+
+VALUE_RULES: dict[type, Callable[[Any], bool]] = {
+    ServiceRef: lambda e: isinstance(e.target, (Addr, ExternalRef)),
+    Par: lambda e: not e.exprs,
+    Image: lambda e: isinstance(e.template, ServerTemplate)
+    and all(is_value(a) for m in e.buffer for a in m.args),
+    TupleV: lambda e: all(map(is_value, e.items)),
+    ListV: lambda e: all(map(is_value, e.items)),
+    MapV: lambda e: all(is_value(x) for kv in e.entries for x in kv),
+}
+
+
 def is_value(e: Expr) -> bool:
-    cached = getattr(e, "_vcache", None)
-    if cached is not None:
-        return cached
-    v: bool
-    if isinstance(e, (ServerTemplate, Addr, ZeroImage, TypeAbs, BaseLit, ExternalRef)):
-        v = True
-    elif isinstance(e, ServiceRef):
-        v = isinstance(e.target, (Addr, ExternalRef))
-    elif isinstance(e, Par):
-        v = len(e.exprs) == 0
-    elif isinstance(e, Image):
-        v = isinstance(e.template, ServerTemplate) and all(is_value(a) for a in children(e)[1:])
-    elif isinstance(e, (TupleV, ListV, MapV)):
-        v = all(is_value(x) for x in children(e))
-    else:
-        v = False
-    object.__setattr__(e, "_vcache", v)
+    v = e._vcache
+    if v is None:
+        rule = VALUE_RULES.get(type(e))
+        v = rule is not None and rule(e)
+        object.__setattr__(e, "_vcache", v)
     return v
 
 
@@ -813,20 +824,17 @@ def substitute(e: Expr, subst: Substitution) -> Expr:
 def _subst(e: Expr, s: dict[str, Expr]) -> Expr:
     # Identity-preserving: untouched subtrees are shared, which keeps the
     # per-node free-variable caches alive across firings.
-    fv = free_vars(e)
-    if not any(k in fv for k in s):
+    if free_vars(e).isdisjoint(s):
         return e
-    if isinstance(e, Var):
+    cls = type(e)
+    if cls is Var:
         return s.get(e.name, e)
-    if isinstance(e, This):
+    if cls is This:
         return s.get(THIS, e)
-    if isinstance(e, ServerTemplate):
+    if cls is ServerTemplate:
         return _subst_template(e, s)
-    shape = shape_of(e)
-    kids = []
-    for c in shape.children(e):
-        kids.append(_subst(c, s))
-    return shape.rebuild(e, kids)
+    shape = SHAPES.get(cls, _LEAF)
+    return shape.rebuild(e, [_subst(c, s) for c in shape.children(e)])
 
 
 def _subst_template(t: ServerTemplate, s: dict[str, Expr]) -> ServerTemplate:

@@ -10,13 +10,27 @@ operation, if). Rules take priority in the order Par, Rcv, React,
 contraction, and only the chosen redex is contracted.
 
 That walk is not made over the whole term. Each top-level component caches
-a summary of its own walk, with positions relative to itself: its first Par
-redex, the sendable requests before it and its first contraction candidate
-before it. Terms are immutable, so a summary holds while its component stays
-in the soup; a step rewrites one component or appends one, and only that one
-is walked again. `step` reads the summaries in component order and checks the
-requests against the routing table there, so a Repl that makes an instance
-live or inert invalidates nothing.
+a summary of its own walk (`_scache`), with positions relative to itself:
+its first Par redex, the sendable requests before it and its first
+contraction candidate before it. Terms are immutable, so a summary holds
+while its component stays in the soup. `step` reads the summaries in
+component order and checks the requests against the routing table there, so
+a Repl that makes an instance live or inert invalidates nothing.
+
+What a step costs. Whether a term is a value is a flag of its class for 15
+of the 21 term classes (`core.is_value`), so a node a step has just built
+answers at once; only service references, parallel compositions, images,
+tuples, lists and maps decide per instance, once, and cache the answer on
+the node. A step then walks again only what it built: the summary of the
+component it rewrote or appended, or of the components a Par step spliced
+into the soup (one pass over the non-value evaluation positions, each
+subterm's flag read once), and, for React, the rule body it substitutes
+into, descending only where a node's cached free variables meet the
+substitution and sharing every other subterm. A step that writes no routing
+table entry (Par, Base, If, TAppAbs, Snap, and a request to an engine
+endpoint) shares its parent's table and ready set; Rcv, React, Spwn and Repl
+copy both before writing, so every earlier configuration, which the bounded
+explorer keeps, stays as it was.
 
 React does not scan the routing table. Every configuration carries a ready
 set: the addresses whose entry is live and whose buffer matches at least one
@@ -129,7 +143,9 @@ class Config:
     wraps any other term). `ready` holds the addresses whose entry is live
     and whose buffer matches at least one rule of its template. It is
     derived from `table` when a config is built without it; after that,
-    write entries through `put`.
+    write entries through `put`. A step that writes no entry returns a
+    config sharing its parent's table and ready set (`moved`), so write
+    into a `copy`.
     """
 
     expr: Expr
@@ -155,6 +171,21 @@ class Config:
             self.observations,
             self.replaces,
             set(self.ready),
+        )
+
+    def moved(self, expr: Expr) -> "Config":
+        """This configuration with the term expr, sharing the table and the
+        ready set, for a step that writes no entry. Steps write entries only
+        into a `copy`, so every earlier configuration keeps its own."""
+        return Config(
+            expr,
+            self.table,
+            self.next_address,
+            self.logical_time,
+            self.timers,
+            self.observations,
+            self.replaces,
+            self.ready,
         )
 
     def put(self, addr: Address, entry: ServerImage) -> None:
@@ -287,16 +318,6 @@ Summary = tuple[Optional[Found], tuple[Found, ...], Optional[Found]]
 _HERE: Found = (None, None)
 
 
-def _sendable(e: Request) -> bool:
-    """A request with value arguments to an engine endpoint or an address.
-    It is deliverable when the callee is an endpoint or a live instance."""
-    callee = e.callee
-    return (
-        isinstance(callee, ExternalRef)
-        or (isinstance(callee, ServiceRef) and isinstance(callee.target, Addr))
-    ) and all(is_value(a) for a in e.args)
-
-
 def _deliverable(e: Request, table: RoutingTable) -> bool:
     """Whether a sendable request can be received now."""
     callee = e.callee
@@ -309,18 +330,15 @@ _CONTRACTIBLE = frozenset((Spwn, Snap, Repl, TypeApp, BaseOp, If))
 _ADMINISTRATIVE = frozenset((TypeApp, BaseOp, If))
 
 
-def _evaluated(e: Expr) -> bool:
-    """Whether every evaluation subterm of e is a value."""
-    shape = shape_of(e)
-    return all(is_value(k) for k in shape.children(e)[: shape.evals])
-
-
 def _candidates(root: Expr, forms: frozenset[type]) -> Iterator[Found]:
     """The non-value subterms of root in evaluation position that a rule may
     contract, in pre-order, each with its path from root: parallel
-    compositions with a parallel component (Par), sendable requests (Rcv),
-    and terms of a class in `forms` whose evaluation subterms are values
-    (contracting one may still be stuck). No Python frame per nesting level."""
+    compositions with a parallel component (Par), sendable requests (Rcv:
+    value arguments to an engine endpoint or an address; deliverable when
+    the callee is an endpoint or a live instance), and terms of a class in
+    `forms` whose evaluation subterms are values (contracting one may still
+    be stuck). One walk serves `_summary` and `_successors`, with no
+    Python frame per nesting level."""
     if is_value(root):
         return
     todo: list[Found] = [(root, None)]
@@ -328,20 +346,22 @@ def _candidates(root: Expr, forms: frozenset[type]) -> Iterator[Found]:
         site = todo.pop()
         x, path = site
         cls = type(x)
-        if cls is Par:
-            if any(type(y) is Par for y in x.exprs):
-                yield site
-        elif cls is Request:
-            if _sendable(x):
-                yield site
-        elif cls in forms and _evaluated(x):
-            yield site
         shape = shape_of(x)
         kids = shape.children(x)
-        for i in range((len(kids) if shape.evals is None else shape.evals) - 1, -1, -1):
-            k = kids[i]
-            if not is_value(k):
-                todo.append((k, (kids, i, path)))
+        # The evaluation subterms that are not values, by index: each
+        # one's value flag is read here once, for the tests and the walk.
+        rest = [i for i in range(len(kids) if shape.evals is None else shape.evals) if not is_value(kids[i])]
+        if cls is Par:
+            if Par in map(type, kids):
+                yield site
+        elif cls is Request:
+            kind = type(x.callee)
+            if not rest and (kind is ExternalRef or kind is ServiceRef and type(x.callee.target) is Addr):
+                yield site
+        elif not rest and cls in forms:
+            yield site
+        for i in reversed(rest):
+            todo.append((kids[i], (kids, i, path)))
 
 
 def _located(site: Found, root: Expr, at: Position) -> Site:
@@ -388,18 +408,6 @@ def _summary(e: Expr, forms: frozenset[type]) -> Summary:
     return None, tuple(reqs), red
 
 
-def _summary_of(e: Expr, forms: frozenset[type]) -> Summary:
-    """The summary of a top-level component. It does not depend on the
-    routing table, so `step`'s is cached on the term, like `is_value`'s."""
-    if forms is not _CONTRACTIBLE:
-        return _summary(e, forms)
-    s = getattr(e, "_scache", None)
-    if s is None:
-        s = _summary(e, forms)
-        object.__setattr__(e, "_scache", s)
-    return s
-
-
 def _scan(
     root: Par, table: Optional[RoutingTable], forms: frozenset[type]
 ) -> tuple[Optional[Site], Optional[Site], Optional[Site]]:
@@ -413,11 +421,19 @@ def _scan(
     the top-level components in order, and only deliverability is checked
     against the table here."""
     comps = root.exprs
-    if any(type(y) is Par for y in comps):
+    if Par in map(type, comps):
         return (root, None), None, None
     rcv = red = None
+    cached = forms is _CONTRACTIBLE
     for i, comp in enumerate(comps):
-        par, reqs, r = _summary_of(comp, forms)
+        # A summary does not depend on the routing table, so `step`'s is
+        # cached on the component, like `is_value`'s.
+        s = getattr(comp, "_scache", None) if cached else None
+        if s is None:
+            s = _summary(comp, forms)
+            if cached:
+                object.__setattr__(comp, "_scache", s)
+        par, reqs, r = s
         if rcv is None and table is not None:
             for q in reqs:
                 if _deliverable(comp if q[0] is None else q[0], table):
@@ -523,7 +539,7 @@ def step(config: Config, policy: Policy) -> Optional[Stepped]:
     """
     par, rcv, red = _scan(config.expr, config.table, _CONTRACTIBLE)
     if par is not None:
-        return Stepped(_replaced(config, par[1], _flatten_one(par[0])), "Par")
+        return Stepped(config.moved(_plug(par[1], _flatten_one(par[0]))), "Par")
     if rcv is not None:
         return _receive(config, *rcv)
     if config.ready:
@@ -533,22 +549,18 @@ def step(config: Config, policy: Policy) -> Optional[Stepped]:
     return None
 
 
-def _replaced(config: Config, pos: Position, r: Expr) -> Config:
-    c = config.copy()
-    c.expr = _plug(pos, r)
-    return c
-
-
 def _receive(config: Config, req: Request, pos: Position) -> Stepped:
     """Rule Rcv, or an engine endpoint consuming the request."""
-    c = _replaced(config, pos, Par(()))
     callee = req.callee
     if isinstance(callee, ExternalRef):
+        c = config.moved(_plug(pos, Par(())))
         if callee.name == "timer":
             c.timers = c.timers + ((timer_due(req.args[0], c.logical_time), req.args[1]),)
             return Stepped(c, "Timer", callee.name)
         c.observations = c.observations + ((c.logical_time, callee.name, tuple(req.args)),)
         return Stepped(c, "Obs", callee.name)
+    c = config.copy()
+    c.expr = _plug(pos, Par(()))
     addr = callee.target.address
     entry = c.table[addr]
     grown = Live(entry.template, entry.mailbox.received(MessageValue(callee.service, req.args)))
@@ -590,26 +602,28 @@ def _fire(config: Config, addr: Address, ridx: int, m: MatchResult) -> Stepped:
 
 def _contract(config: Config, e: Expr, pos: Position) -> Stepped:
     """Contract a Spwn, Snap, Repl, type application, base operation or if
-    whose evaluation subterms are values. Raises StuckError if it is stuck."""
-    c = config.copy()
+    whose evaluation subterms are values. Raises StuckError if it is stuck.
+    Only Spwn and Repl write an entry, so only they copy the table."""
+    cls = type(e)
+    c = config.copy() if cls is Spwn or cls is Repl else config.moved(config.expr)
     detail = ""
-    if isinstance(e, Spwn):
+    if cls is Spwn:
         img = spawnable(e.expr, "spwn")
         addr = Address(c.next_address, e.placement)
         c.put(addr, img)
         c.next_address += 1
         rule, detail, r = "Spwn", f"@{addr.id}", Addr(addr)
-    elif isinstance(e, Snap):
+    elif cls is Snap:
         addr = address_of(e.expr, "snap", config.table)
         rule, detail, r = "Snap", f"@{addr.id}", image_of(config.table[addr])
-    elif isinstance(e, Repl):
+    elif cls is Repl:
         addr = address_of(e.target, "repl", config.table)
         c.put(addr, spawnable(e.image, "repl"))
         c.replaces += 1
         rule, detail, r = "Repl", f"@{addr.id}", Par(())
-    elif isinstance(e, TypeApp):
+    elif cls is TypeApp:
         rule, r = "TAppAbs", instantiate(e.expr, e.arg)
-    elif isinstance(e, BaseOp):
+    elif cls is BaseOp:
 
         def fresh_id() -> int:
             c.next_address += 1
@@ -804,7 +818,7 @@ def _admin_close(config: Config) -> Config:
     for _ in range(100_000):
         par, _, red = _scan(current.expr, None, _ADMINISTRATIVE)
         if par is not None:
-            current = _replaced(current, par[1], _flatten_one(par[0]))
+            current = current.moved(_plug(par[1], _flatten_one(par[0])))
         elif red is not None:
             current = _contract(current, *red).config
         else:

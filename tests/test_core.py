@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cpl.core as core
 from cpl.core import (
     Addr,
     Address,
@@ -182,6 +183,63 @@ class TestValues:
     def test_service_ref_value_only_at_address(self):
         assert is_value(ServiceRef(Addr(Address(0)), "x"))
         assert not is_value(ServiceRef(Var("y"), "x"))
+
+
+def _reference_is_value(e) -> bool:
+    """`is_value` decided per instance, with no flag and no cache."""
+    if isinstance(e, (ServerTemplate, Addr, core.ZeroImage, core.TypeAbs, BaseLit, core.ExternalRef)):
+        return True
+    if isinstance(e, ServiceRef):
+        return isinstance(e.target, (Addr, core.ExternalRef))
+    if isinstance(e, Par):
+        return len(e.exprs) == 0
+    if isinstance(e, Image):
+        return isinstance(e.template, ServerTemplate) and all(map(_reference_is_value, core.children(e)[1:]))
+    if isinstance(e, (core.TupleV, core.ListV, core.MapV)):
+        return all(map(_reference_is_value, core.children(e)))
+    return False
+
+
+def fresh_value_samples():
+    """New nodes of every class in `core.SHAPES`, values and non-values of
+    each class that decides per instance, none with a cached answer."""
+    addr, one = Addr(Address(0)), BaseLit(1)
+    waiting = Request(Var("k"), ())
+    return [
+        Var("x"), This(), addr, core.ZeroImage(), one, core.ExternalRef("result"), FACT_TEMPLATE,
+        core.Spwn(FACT_TEMPLATE), core.Snap(addr), core.Repl(addr, core.ZeroImage()),
+        Request(core.ExternalRef("print"), (one,)), waiting,
+        ServiceRef(addr, "a"), ServiceRef(core.ExternalRef("timer"), "a"), ServiceRef(Var("y"), "a"),
+        ServiceRef(waiting, "a"),
+        Par(()), Par((waiting,)), Par((Par(()),)),
+        Image(FACT_TEMPLATE, ()), Image(FACT_TEMPLATE, (MessageValue("main", (one,)),)),
+        Image(FACT_TEMPLATE, (MessageValue("main", (one, waiting)),)), Image(Var("w"), ()), Image(addr, ()),
+        core.TypeAbs("a", Top(), waiting), core.TypeApp(addr, INT),
+        core.BaseOp("add", (one, one)), core.If(BaseLit(True), one, one),
+        core.TupleV(()), core.TupleV((one, addr)), core.TupleV((one, waiting)),
+        core.ListV((one,)), core.ListV((waiting, one)),
+        core.MapV(((one, one),)), core.MapV(((one, waiting),)), core.MapV(((waiting, one),)),
+    ]
+
+
+def test_value_samples_cover_every_term_class():
+    assert {type(e) for e in fresh_value_samples()} == set(core.SHAPES)
+
+
+@pytest.mark.parametrize("index", range(len(fresh_value_samples())))
+def test_value_flag_or_rule_agrees_with_the_per_instance_decision(index):
+    e = fresh_value_samples()[index]
+    want = _reference_is_value(e)
+    assert is_value(e) is want
+    assert is_value(e) is want  # again, from the class flag or the node's cache
+
+
+@pytest.mark.parametrize("cls", core.SHAPES, ids=lambda c: c.__name__)
+def test_every_term_class_has_a_value_flag_or_a_per_instance_rule(cls):
+    flagged = "_vcache" in vars(cls)
+    assert flagged != (cls in core.VALUE_RULES), f"{cls.__name__} needs exactly one of a flag and a rule"
+    if flagged:
+        assert isinstance(vars(cls)["_vcache"], bool)
 
 
 def one_of_each_expr_class(loc):

@@ -562,10 +562,30 @@ def _run_checking_scans(monkeypatch, config, seed, max_steps=500_000):
     return res, steps
 
 
+# The hot-instance burst of `perfbench/programs/hot_instance.cpl` at N = 60,
+# without the prelude: one instance whose buffer holds the whole burst before
+# its first firing.
+HOT_BURST = """
+def Consumer = spwn srv {
+  add<v: Int> & st<acc: Int, n: Int> :>
+    if n <= 1 then result<acc + v> else this#st<acc + v, n - 1>
+};
+
+def Producer = spwn srv {
+  go<i: Int, n: Int> :>
+    if i <= 0 then Consumer#st<0, n>
+    else (Consumer#add<i> || this#go<i - 1, n>)
+};
+
+Producer#go<60, 60>
+"""
+
+
 @pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("name", sorted(SCHEDULE_FINGERPRINTS))
+@pytest.mark.parametrize("name", sorted(SCHEDULE_FINGERPRINTS) + ["hot_instance burst"])
 def test_cached_scan_matches_a_full_walk(monkeypatch, name, seed):
-    res, steps = _run_checking_scans(monkeypatch, boot(tc.example_source(name), prelude=True), seed)
+    config = boot(HOT_BURST) if name == "hot_instance burst" else boot(tc.example_source(name), prelude=True)
+    res, steps = _run_checking_scans(monkeypatch, config, seed)
     assert steps > 50
     assert res.status == COMPLETED
 
@@ -598,6 +618,46 @@ let i: img srv { a: <Int> } = snap w in
     waiting = [s.top for s in res.trace.steps[first + 1 : second]]
     assert any("@1#a<1>" in top for top in waiting)
     assert events.index("Rcv @1") > second
+
+
+# A run, without the prelude, in which `step` reports every rule kind: the
+# six rules, Base, If and TAppAbs, and requests to the engine endpoints.
+EVERY_RULE = """
+let w: inst srv { a: <Int> } = spwn srv { a<x: Int> :> result<x> } in
+let i: img srv { a: <Int> } = snap w in
+(spwn srv {
+  go<u: Unit> :> w#a<1 + 2> || timer<5, this#back> || (if 1 <= 2 then print<3> else print<4>)
+  back<> :> repl w i
+})#go<(/\\a. par)[Int]>
+"""
+
+
+def test_a_step_leaves_its_parent_config_as_it_was(monkeypatch):
+    # The bounded explorer applies many steps to one configuration, so a
+    # step must not change its parent's term, table or ready set. A step
+    # that writes no entry shares the parent's table and ready set; the
+    # others write into a copy.
+    writers = {"Rcv", "React", "Spwn", "Repl"}
+    inner = cpl.machine.step
+    seen = set()
+
+    def checking(config, policy):
+        expr, table, ready = config.expr, dict(config.table), set(config.ready)
+        s = inner(config, policy)
+        assert config.expr is expr and config.ready == ready
+        assert config.table.keys() == table.keys()
+        assert all(config.table[a] is entry for a, entry in table.items())
+        if s is not None:
+            seen.add(s.rule)
+            shares = s.config.table is config.table, s.config.ready is config.ready
+            assert shares == ((False, False) if s.rule in writers else (True, True)), s.rule
+        return s
+
+    with monkeypatch.context() as m:
+        m.setattr(cpl.machine, "step", checking)
+        res = run(boot(EVERY_RULE), deterministic(0), 1_000)
+    assert res.status == COMPLETED and ss_obs(res) == [3]
+    assert seen == {"Par", "Rcv", "React", "Spwn", "Snap", "Repl", "Base", "If", "TAppAbs", "Obs", "Timer"}
 
 
 def test_a_dropped_component_is_freed_without_the_cycle_collector():
