@@ -118,10 +118,13 @@ def cmd_trace(args) -> int:
 
     loaded = _load(args)
     toolchain.check_expr(loaded.core, loaded.env)
-    result = toolchain.run_smallstep(
-        loaded.core, seed=args.seed, max_steps=args.max_steps, record_trace=True
-    )
-    sys.stdout.write(result.trace.render())
+
+    def write(s: machine.TraceStep) -> None:
+        # Each step is written as it is taken, so a run that fails leaves
+        # the steps before the fault on stdout.
+        sys.stdout.write(machine.Trace([s]).render())
+
+    result = toolchain.run_smallstep(loaded.core, seed=args.seed, max_steps=args.max_steps, sink=write)
     if result.status == machine.STEP_LIMIT:
         print("step limit reached", file=sys.stderr)
         return EXIT_RUNTIME

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .builtins import EffectContext, apply_builtin
 from .core import (
@@ -651,9 +651,18 @@ class TraceStep:
     top: str
 
 
+Sink = Callable[[TraceStep], object]
+
+
 @dataclass
 class Trace:
+    """A sink that keeps every step. `render` is the one formatter of step
+    text: `cpl trace` streams each step through it as it happens."""
+
     steps: list[TraceStep] = field(default_factory=list)
+
+    def __call__(self, s: TraceStep) -> None:
+        self.steps.append(s)
 
     def normalized_rules(self) -> list[str]:
         keep = {"Spwn", "Rcv", "React", "Snap", "Repl"}
@@ -678,7 +687,6 @@ STEP_LIMIT = "step-limit"
 @dataclass
 class RunResult:
     final: Config
-    trace: Trace
     status: str
 
     @property
@@ -779,29 +787,28 @@ def pending_messages(config: Config) -> list[tuple[Address, MessageValue]]:
     return out
 
 
-def run(
-    config: Config,
-    policy: Policy,
-    max_steps: int,
-    record_trace: bool = True,
-) -> RunResult:
+def run(config: Config, policy: Policy, max_steps: int, sink: Optional[Sink] = None) -> RunResult:
     """Iterate step until completion, quiescence, or the step limit. Timers
-    fire by the rule of `TimerRounds`."""
-    trace = Trace()
+    fire by the rule of `TimerRounds`.
+
+    With a sink, each step is handed to it as a `TraceStep` as soon as it is
+    taken, its term printed by `pretty_expr`; run keeps none of them. A
+    `Trace` keeps them all, and `cpl trace` writes each to stdout, so a run
+    that raises has already handed over the steps before the fault."""
     current = config
     rounds = TimerRounds()
-    for _ in range(max_steps):
+    for index in range(1, max_steps + 1):
         s = step(current, policy)
         if s is None:
             if not current.timers or not rounds.fire((len(current.observations), current.replaces)):
                 status = COMPLETED if _completed(current) else QUIESCENT
-                return RunResult(current, trace, status)
+                return RunResult(current, status)
             fired = fire_next_timers(current)
             s = Stepped(fired, "Timer", f"t={fired.logical_time}")
-        if record_trace:
-            trace.steps.append(TraceStep(len(trace.steps) + 1, s.rule, s.detail, pretty_expr(s.config.expr)))
+        if sink is not None:
+            sink(TraceStep(index, s.rule, s.detail, pretty_expr(s.config.expr)))
         current = s.config
-    return RunResult(current, trace, STEP_LIMIT)
+    return RunResult(current, STEP_LIMIT)
 
 
 # ---------------------------------------------------------------------------

@@ -120,10 +120,14 @@ def pretty_message(m: MessageValue) -> str:
 
 
 def pretty_expr(e: Expr) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, This):
-        return "this"
+    """The text of e. A server template's text is cached on the node as
+    `_pcache`, and so is the text of each component of a parallel
+    composition: substitution and Spwn share templates between steps, the
+    stdlib's live for the whole process, and a trace prints a soup whose
+    components mostly outlive the step. Terms are immutable, so the text
+    cannot go stale. No other node keeps its text, which would hold
+    O(size × depth) of it. The classes a trace meets most are tested
+    first."""
     if isinstance(e, BaseLit):
         v = e.value
         if isinstance(v, bool):
@@ -131,26 +135,22 @@ def pretty_expr(e: Expr) -> str:
         if isinstance(v, str):
             return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
         return repr(v)
+    if isinstance(e, ListV):
+        return "[" + ", ".join(pretty_expr(x) for x in e.items) + "]"
+    if isinstance(e, TupleV):
+        return "(" + ", ".join(pretty_expr(x) for x in e.items) + ")"
+    if isinstance(e, Var):
+        return e.name
+    if isinstance(e, This):
+        return "this"
     if isinstance(e, Par):
         if not e.exprs:
             return "par"
         if len(e.exprs) == 1:
-            return f"par({pretty_expr(e.exprs[0])})"
-        return "(" + " || ".join(pretty_expr(x) for x in e.exprs) + ")"
+            return f"par({_cached_text(e.exprs[0])})"
+        return "(" + " || ".join(map(_cached_text, e.exprs)) + ")"
     if isinstance(e, ServerTemplate):
-        star = "*" if e.transparent_this else ""
-        rules = []
-        for r in e.rules:
-            pats = " & ".join(
-                p.service
-                + "<"
-                + ", ".join(f"{n}: {pretty_type(t)}" for n, t in p.params)
-                + ">"
-                for p in r.patterns
-            )
-            rules.append(f"{pats} :> {pretty_expr(r.body)}")
-        inner = "  ".join(rules)
-        return "srv" + star + " { " + inner + " }"
+        return _cached_text(e)
     if isinstance(e, Spwn):
         kw = "spwn local " if e.placement is Placement.LOCAL else "spwn "
         return kw + _atom(e.expr)
@@ -192,16 +192,38 @@ def pretty_expr(e: Expr) -> str:
             f"(if {pretty_expr(e.cond)} then {pretty_expr(e.then)} "
             f"else {pretty_expr(e.orelse)})"
         )
-    if isinstance(e, TupleV):
-        return "(" + ", ".join(pretty_expr(x) for x in e.items) + ")"
-    if isinstance(e, ListV):
-        return "[" + ", ".join(pretty_expr(x) for x in e.items) + "]"
     if isinstance(e, MapV):
         pairs = ", ".join(f"({pretty_expr(k)}, {pretty_expr(v)})" for k, v in e.entries)
         return f"mkMap([{pairs}])"
     if isinstance(e, ExternalRef):
         return f"^{e.name}"
     raise TypeError(f"unprintable expression: {e!r}")
+
+
+def _template_text(e: ServerTemplate) -> str:
+    star = "*" if e.transparent_this else ""
+    rules = []
+    for r in e.rules:
+        pats = " & ".join(
+            p.service
+            + "<"
+            + ", ".join(f"{n}: {pretty_type(t)}" for n, t in p.params)
+            + ">"
+            for p in r.patterns
+        )
+        rules.append(f"{pats} :> {pretty_expr(r.body)}")
+    inner = "  ".join(rules)
+    return "srv" + star + " { " + inner + " }"
+
+
+def _cached_text(e: Expr) -> str:
+    """The text of a template or of a component of a parallel composition,
+    cached on the node as `_pcache`."""
+    text = getattr(e, "_pcache", None)
+    if text is None:
+        text = _template_text(e) if type(e) is ServerTemplate else pretty_expr(e)
+        object.__setattr__(e, "_pcache", text)
+    return text
 
 
 def _atom(e: Expr) -> str:

@@ -28,7 +28,7 @@ from .parser import Program, parse
 from .typecheck import LocationTyping, TypeCheckError, context_from, type_of
 
 if TYPE_CHECKING:
-    from .machine import RunResult
+    from .machine import RunResult, Sink
     from .runtime import Runtime
 
 STDLIB_FILES = (
@@ -125,14 +125,16 @@ def run_smallstep(
     core: Expr,
     seed: int = 0,
     max_steps: int = 500_000,
-    record_trace: bool = False,
+    sink: Optional[Sink] = None,
 ) -> RunResult:
+    """Run core on the small-step machine, handing each step to sink if one
+    is given (`machine.run`)."""
     from . import machine
 
     wired = wire_observers(core)
     config = machine.initial_config(wired)
     policy = machine.deterministic(seed)
-    return machine.run(config, policy, max_steps, record_trace=record_trace)
+    return machine.run(config, policy, max_steps, sink)
 
 
 def run_concurrent(

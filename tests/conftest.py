@@ -72,9 +72,9 @@ def checked(text, prelude=False):
     return loaded
 
 
-def run_ss(text, prelude=False, seed=0, max_steps=2_000_000, trace=False):
+def run_ss(text, prelude=False, seed=0, max_steps=2_000_000):
     loaded = checked(text, prelude=prelude)
-    return tc.run_smallstep(loaded.core, seed=seed, max_steps=max_steps, record_trace=trace)
+    return tc.run_smallstep(loaded.core, seed=seed, max_steps=max_steps)
 
 
 @contextlib.contextmanager

@@ -18,6 +18,7 @@ from cpl.cli import main as cli_main
 from cpl.core import BaseLit, JoinPattern, MessageValue, BaseT
 from cpl.machine import (
     COMPLETED,
+    Trace,
     deterministic,
     enumerate_matches,
     enumerate_reachable,
@@ -42,10 +43,11 @@ def report(n, text):
 def test_criterion_01_factorial_golden():
     t0 = time.time()
     loaded = tc.load_program(tc.example_source("fact.cpl"), include_prelude=False)
-    res = tc.run_smallstep(loaded.core, seed=1, record_trace=True)
+    trace = Trace()
+    res = tc.run_smallstep(loaded.core, seed=1, sink=trace)
     assert res.status == COMPLETED
     assert ss_obs(res) == [6]
-    assert res.trace.normalized_rules() == [
+    assert trace.normalized_rules() == [
         "Spwn", "Rcv", "React @0/r1",
         "Rcv", "Rcv", "Rcv", "React @0/r2",
         "Rcv", "Rcv", "React @0/r2",

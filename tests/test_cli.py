@@ -1,5 +1,8 @@
 """CLI contract: subcommands, flags, exit codes, diagnostics, JSON input."""
 
+import contextlib
+import hashlib
+import io
 import json
 import re
 
@@ -372,6 +375,65 @@ def test_trace_matches_golden_file(examples, capsys):
 def test_trace_step_limit_exits_two(examples, capsys):
     assert main(["trace", examples["wordcount.cpl"], "--max-steps", "10"]) == 2
     assert capsys.readouterr().err == "step limit reached\n"
+
+
+class _Digest(io.TextIOBase):
+    """A stdout that keeps only the sha256 of what is written to it and the
+    number of lines that start a step."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.steps = 0
+        self.at_line_start = True
+
+    def write(self, s):
+        self.sha.update(s.encode())
+        self.steps += s.count("\nSTEP ") + (self.at_line_start and s.startswith("STEP "))
+        self.at_line_start = s.endswith("\n")
+        return len(s)
+
+
+# sha256 and step count of `cpl trace <example> --seed 1 --max-steps 2000`
+# with the prelude, taken when every step's term was printed from scratch.
+# `test_schedule_fingerprint` pins each step's rule and detail; these pin
+# the printed terms too.
+TRACE_PINS = {
+    "fact.cpl": ("d9cc2ac8052541d72a66131c1e45526f11d8d6734e6804325844e010d3c9ba8e", 133),
+    "stuck.cpl": ("fa14177e821a5555b5efdad4275dff9fb50184a98c788521a66ad359c0f4ee1d", 97),
+    "supervision_demo.cpl": ("096fbb87b38f35bcb27f5a672fb2c52030da6e55c7a07d488b22e0b80ad24d98", 532),
+    "wordcount.cpl": ("d680445aea904fbde853722c599e498dc1f045f79f22e18119bdb8bfd6d1ef61", 2000),
+    "wordcount_lb.cpl": ("aaf83addd142989b770c47062ca67b95efc075223aad97ca5d224a1db6e36df4", 2000),
+    "wordcount_ft.cpl": ("e7e6808295dfef3a2edeec56ffe91dfddd5ca6c5d9511f5eccfa8b587fd6144d", 2000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_PINS))
+def test_trace_text_pins(examples, name):
+    out = _Digest()
+    with contextlib.redirect_stdout(out):
+        code = main(["trace", examples[name], "--seed", "1", "--max-steps", "2000"])
+    assert code == (2 if TRACE_PINS[name][1] == 2000 else 0)
+    assert (out.sha.hexdigest(), out.steps) == TRACE_PINS[name]
+
+
+def test_a_trace_that_faults_leaves_the_steps_before_it(tmp_path, capsys):
+    f = tmp_path / "div.cpl"
+    f.write_text("result<1> || result<(1 + 1) / 0>\n")
+    assert main(["trace", str(f), "--no-prelude"]) == 4
+    out, err = capsys.readouterr()
+    assert err == "internal error: div: division by zero\n"
+    assert re.findall(r"^STEP \d+ (\w+)", out, re.M) == ["Obs", "Par", "Base"]
+
+
+@pytest.mark.parametrize("name,seed", [("fact.cpl", 1), ("supervision_demo.cpl", 3), ("wordcount_ft.cpl", 7)])
+def test_streamed_trace_is_the_recorded_trace_rendered(examples, capsys, name, seed):
+    from cpl.machine import Trace
+
+    assert main(["trace", examples[name], "--seed", str(seed), "--max-steps", "300"]) in (0, 2)
+    streamed = capsys.readouterr().out
+    trace = Trace()
+    tc.run_smallstep(tc.load_program(tc.example_source(name)).core, seed=seed, max_steps=300, sink=trace)
+    assert trace.render() == streamed
 
 
 @pytest.mark.parametrize(

@@ -51,14 +51,18 @@ def loads(tmp_path_factory):
     data.write_text(json.dumps(["a", "b", "c"]))
     lam = tc.example_path("wordcount.cpl")
 
-    def three(path):
-        return [("desugar", "--prelude", path), ("check", path), ("run", path)]
+    # A bounded trace prints the text cached on the stdlib's templates,
+    # which live as long as the process.
+    bounded = ("--max-steps", "40")
+
+    def four(path):
+        return [("desugar", "--prelude", path), ("check", path), ("run", path), ("trace", path, *bounded)]
 
     return {
-        "lambda": three(lam),
-        "no fresh name": three(str(plain)),
-        "writes k%1": three(str(shifted)),
-        "--input": [("run", str(prog), "--input", str(data))],
+        "lambda": four(lam),
+        "no fresh name": four(str(plain)),
+        "writes k%1": four(str(shifted)),
+        "--input": [("run", str(prog), "--input", str(data)), ("trace", str(prog), "--input", str(data), *bounded)],
     }
 
 

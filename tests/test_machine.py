@@ -41,6 +41,7 @@ from cpl.machine import (
     QUIESCENT,
     STEP_LIMIT,
     Config,
+    Trace,
     deterministic,
     digest,
     enumerate_reachable,
@@ -300,10 +301,11 @@ class TestReadySet:
 class TestRun:
     def test_factorial_golden_sequence(self):
         loaded = tc.load_program(tc.example_source("fact.cpl"), include_prelude=False)
-        res = tc.run_smallstep(loaded.core, seed=1, record_trace=True)
+        trace = Trace()
+        res = tc.run_smallstep(loaded.core, seed=1, sink=trace)
         assert res.status == COMPLETED
         assert ss_obs(res) == [6]
-        assert res.trace.normalized_rules() == [
+        assert trace.normalized_rules() == [
             "Spwn",
             "Rcv",
             "React @0/r1",
@@ -336,10 +338,11 @@ class TestRun:
 
     def test_determinism_identical_traces(self):
         loaded = tc.load_program(tc.example_source("fact.cpl"), include_prelude=False)
-        r1 = tc.run_smallstep(loaded.core, seed=7, record_trace=True)
-        r2 = tc.run_smallstep(loaded.core, seed=7, record_trace=True)
-        assert r1.trace.render() == r2.trace.render()
-        assert r1.trace.render()
+        t1, t2 = Trace(), Trace()
+        tc.run_smallstep(loaded.core, seed=7, sink=t1)
+        tc.run_smallstep(loaded.core, seed=7, sink=t2)
+        assert t1.render() == t2.render()
+        assert t1.render()
 
     def test_machine_timers_fire_on_quiescence(self):
         src = "(spwn srv { a<> :> timer<50, this#b>  b<> :> result<9> })#a<>"
@@ -558,7 +561,7 @@ def _run_checking_scans(monkeypatch, config, seed, max_steps=500_000):
 
     with monkeypatch.context() as m:
         m.setattr(cpl.machine, "step", checking)
-        res = run(config, deterministic(seed), max_steps, record_trace=False)
+        res = run(config, deterministic(seed), max_steps)
     return res, steps
 
 
@@ -612,10 +615,11 @@ let i: img srv { a: <Int> } = snap w in
     res, _ = _run_checking_scans(monkeypatch, boot(src), 0)
     assert res.status == COMPLETED
     assert ss_obs(res) == [1]
-    res = run(boot(src), deterministic(0), 1_000)
-    events = [f"{s.rule} {s.detail}" for s in res.trace.steps]
+    trace = Trace()
+    run(boot(src), deterministic(0), 1_000, trace)
+    events = [f"{s.rule} {s.detail}" for s in trace.steps]
     first, second = [i for i, e in enumerate(events) if e == "Repl @1"]
-    waiting = [s.top for s in res.trace.steps[first + 1 : second]]
+    waiting = [s.top for s in trace.steps[first + 1 : second]]
     assert any("@1#a<1>" in top for top in waiting)
     assert events.index("Rcv @1") > second
 
@@ -676,11 +680,12 @@ def test_a_dropped_component_is_freed_without_the_cycle_collector():
     enabled = gc.isenabled()
     gc.disable()
     try:
-        res = run(config, deterministic(0), 100)
-        assert [(s.rule, s.detail) for s in res.trace.steps] == [
+        trace = Trace()
+        run(config, deterministic(0), 100, trace)
+        assert [(s.rule, s.detail) for s in trace.steps] == [
             ("Obs", "print"), ("Par", ""), ("Base", ""), ("Obs", "result"), ("Par", ""),
         ]
-        del config, res
+        del config
         assert [r() for r in refs] == [None, None]
     finally:
         if enabled:
