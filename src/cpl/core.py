@@ -5,20 +5,20 @@ Everything here is immutable; values can be shared freely across threads.
 Node classes are `@frozen` (`cpl.frozen`): frozen dataclasses whose
 methods are renamed copies of templates compiled once per field count,
 because compiling generated source for each class, as `dataclasses` does,
-was a third of importing the toolchain. Derived data (`_fvcache`,
-`_scache`, ...) is cached on nodes as attributes set with
-`object.__setattr__`.
+was a third of importing the toolchain. The derived data any layer keeps
+on a node is declared here, as a `None` class attribute commented with the
+function that keeps it, and kept as `cpl.frozen` says.
 """
 
 from __future__ import annotations
 
 from dataclasses import field
 from enum import Enum
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import LinearityError, Loc
-from .frozen import frozen
+from .frozen import frozen, store
 
 # The self-reference is a distinguished token; it is stored under this key in
 # substitutions and free-variable sets so shadowing rules stay explicit.
@@ -40,6 +40,9 @@ class Placement(Enum):
 
 class TypeExpr:
     __slots__ = ()
+    _tvcache = None  # free_type_vars
+    _excache = None  # desugar.Desugarer._expand
+    _ptcache = None  # pretty.pretty_type
 
 
 @frozen
@@ -91,7 +94,7 @@ class SrvT(TypeExpr):
         if len(set(names)) != len(names):
             dupes = sorted({n for n in names if names.count(n) > 1})
             raise ValueError(f"duplicate service names in server type: {dupes}")
-        object.__setattr__(self, "services", entries)
+        store(self, "services", entries)
 
     def get(self, name: str) -> Optional[SvcT]:
         for n, t in self.services:
@@ -180,6 +183,13 @@ class Expr:
     # Whether the term is a value: a flag of its class, or None until
     # `is_value` computes it for the instance.
     _vcache = None
+    _fvcache = None  # free_vars
+    _tvcache = None  # expr_type_vars
+    _scache = None  # machine._scan, on a soup component
+    _pcache = None  # pretty._cached_text, on a template or soup component
+    _tycache = None  # typecheck.keep_type, on a def's lowered right-hand side
+    _instcache = None  # machine.instantiate, on a type abstraction
+    _nmcache = None  # desugar.desugar_program, on a def's right-hand side
 
 
 def _loc_field() -> Loc | None:
@@ -211,6 +221,7 @@ class JoinPattern:
 class ReactionRule:
     patterns: tuple[JoinPattern, ...]
     body: Expr
+    _ccache = None  # runtime.Runtime._pump: the body compiled
 
     def __post_init__(self) -> None:
         if not self.patterns:
@@ -380,9 +391,7 @@ class MapV(Expr):
     loc: Loc | None = _loc_field()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(sorted(self.entries, key=lambda kv: repr(kv[0])))
-        )
+        store(self, "entries", tuple(sorted(self.entries, key=lambda kv: repr(kv[0]))))
 
 
 @frozen
@@ -708,7 +717,7 @@ def is_value(e: Expr) -> bool:
     if v is None:
         rule = VALUE_RULES.get(type(e))
         v = rule is not None and rule(e)
-        object.__setattr__(e, "_vcache", v)
+        store(e, "_vcache", v)
     return v
 
 
@@ -718,37 +727,41 @@ def is_value(e: Expr) -> bool:
 
 _NO_NAMES: frozenset[str] = frozenset()
 
+# Each binder's subterms with the names it binds over them: a template binds
+# its rules' parameters, and `this` unless it is transparent; `parser` adds
+# the derived forms. Every other class binds nothing over its `children`.
+SCOPES: dict[type, Callable[[Any], tuple[tuple[Expr, tuple[str, ...]], ...]]] = {
+    ServerTemplate: lambda e: tuple(
+        (r.body, r.bound_names if e.transparent_this else r.bound_names + (THIS,)) for r in e.rules
+    ),
+}
+
 
 def free_vars(e: Expr) -> frozenset[str]:
-    """Free term variables of e; the self-reference appears as "this"."""
-    fv = getattr(e, "_fvcache", None)
+    """Free term variables of e, derived forms too; the self-reference appears as "this"."""
+    fv = e._fvcache
     if fv is not None:
         return fv
     if isinstance(e, Var):
         fv = frozenset((e.name,))
     elif isinstance(e, This):
         fv = frozenset((THIS,))
-    elif isinstance(e, ServerTemplate):
-        out: set[str] = set()
-        for r in e.rules:
-            body = free_vars(r.body) - set(r.bound_names)
-            if not e.transparent_this:
-                body = body - {THIS}
-            out |= body
-        fv = frozenset(out)
     else:
         fv = _NO_NAMES
-        for c in children(e):
+        scopes = SCOPES.get(type(e))
+        for c, bound in scopes(e) if scopes else zip(children(e), repeat(())):
             cv = free_vars(c)
+            if not cv.isdisjoint(bound):
+                cv = cv.difference(bound)
             if cv:
                 fv = fv | cv if fv else cv
-    object.__setattr__(e, "_fvcache", fv)
+    store(e, "_fvcache", fv)
     return fv
 
 
 def free_type_vars(t: TypeExpr) -> frozenset[str]:
     """Type variables occurring free in t; cached on the node."""
-    tv = getattr(t, "_tvcache", None)
+    tv = t._tvcache
     if tv is not None:
         return tv
     if isinstance(t, TypeVar):
@@ -762,13 +775,13 @@ def free_type_vars(t: TypeExpr) -> frozenset[str]:
             cv = free_type_vars(c)
             if cv:
                 tv = tv | cv if tv else cv
-    object.__setattr__(t, "_tvcache", tv)
+    store(t, "_tvcache", tv)
     return tv
 
 
 def expr_type_vars(e: Expr) -> frozenset[str]:
     """Type variables occurring free in annotations and type subterms of e."""
-    tv = getattr(e, "_tvcache", None)
+    tv = e._tvcache
     if tv is not None:
         return tv
     if isinstance(e, ServerTemplate):
@@ -789,7 +802,7 @@ def expr_type_vars(e: Expr) -> frozenset[str]:
             cv = expr_type_vars(c)
             if cv:
                 tv = tv | cv if tv else cv
-    object.__setattr__(e, "_tvcache", tv)
+    store(e, "_tvcache", tv)
     return tv
 
 

@@ -16,11 +16,13 @@ reused across loads while a replay of what it read matches
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .builtins import OPS, PROJECTIONS
 from .core import (
     BOT,
+    SCOPES,
     THIS,
     TYPE_SHAPES,
     UNIT,
@@ -63,6 +65,7 @@ from .core import (
     substitute_type_in_type,
 )
 from .errors import DesugarError, Loc
+from .frozen import memo, store
 from .parser import Definition, Program, SApply, SLambda, SLet, SLetK, SThunk
 from .typecheck import TypeCheckError, TypeContext, as_image_type, join, keep_type, promote, type_of
 
@@ -205,7 +208,7 @@ class Desugarer:
         shape = TYPE_SHAPES.get(type(t))
         if shape is None:
             return t, _NONE_CONSULTED
-        hit = getattr(t, "_excache", None)
+        hit = t._excache
         if hit is not None and self._binds(hit[1]):
             return t if hit[0] is None else hit[0], hit[1]
         if isinstance(t, AliasT):
@@ -228,7 +231,7 @@ class Desugarer:
             new, consulted = self._expand_all(kids, loc, stack)
             out = t if all(k is n for k, n in zip(kids, new)) else shape.rebuild(t, new)
         # An unchanged node is cached as None, so it holds no cycle to itself.
-        object.__setattr__(t, "_excache", (None if out is t else out, consulted))
+        store(t, "_excache", (None if out is t else out, consulted))
         return out, consulted
 
     def _expand_all(
@@ -460,11 +463,11 @@ class Desugarer:
         than the fresh names gives the same answer under env: the aliases
         are bound as they were (`_binds`), the entries of the right-hand
         side's free names are identical or `==`, and the bounds are equal."""
-        hit = getattr(e, "_ldcache", None)
+        hit = e._ldcache
         if hit is None or hit.bounds != bounds or not self._binds(hit.consulted):
             return None
         was = hit.env
-        for n in _free_names(e.rhs):
+        for n in free_vars(e.rhs):
             t, u = env.get(n), was.get(n)
             if t is not u and t != u:
                 return None
@@ -487,7 +490,7 @@ class Desugarer:
             aliases.update(c)
         synthesized = None if e.ann else ann
         trace = _Lowered(core, synthesized, tuple(self.drawn[drawn:]), aliases, env, bounds)
-        object.__setattr__(e, "_ldcache", trace)
+        store(e, "_ldcache", trace)
         return core
 
     def _letk(self, e: SLetK, env: TypeEnv) -> Expr:
@@ -535,7 +538,7 @@ class Desugarer:
         if ann is None:
             raise DesugarError("thunk needs a result type: thunk[T] e", e.loc)
         # A plain name never collides with a fresh one, which has a `%`.
-        k = self.fresh("k") if "k" in free_vars_surface(e.body) else "k"
+        k = self.fresh("k") if "k" in free_vars(e.body) else "k"
         if isinstance(e.body, Request):
             body = self._request(e.body, env, e.loc, Var(k))
         else:
@@ -588,45 +591,14 @@ def _server_type(pats: Sequence[tuple[JoinPattern, ...]]) -> SrvT:
     return SrvT(tuple(entries.items()))
 
 
-# The immediate subterms of each surface form, each with the names bound
-# over it; every other class binds nothing over its `children`.
-_SCOPES = {
-    SLet: lambda e: ((e.rhs, ()), (e.body, (e.name,))),
-    SLetK: lambda e: ((e.rhs, ()), (e.body, tuple(n for n, _ in e.binders))),
-    SLambda: lambda e: ((e.body, tuple(n for n, _ in e.params)),),
-    SApply: lambda e: tuple((x, ()) for x in (e.fn, *e.args)),
-    SThunk: lambda e: ((e.body, ()),),
-    ServerTemplate: lambda e: tuple(
-        (r.body, r.bound_names if e.transparent_this else r.bound_names + (THIS,)) for r in e.rules
-    ),
-}
-
-
-def _scopes(e: Expr) -> tuple[tuple[Expr, tuple[str, ...]], ...]:
-    scopes = _SCOPES.get(type(e))
-    return scopes(e) if scopes else tuple((c, ()) for c in children(e))
-
-
-def free_vars_surface(e: Expr) -> frozenset[str]:
-    """Free variables of a surface expression; the self-reference appears as "this"."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, This):
-        return frozenset((THIS,))
-    out: frozenset[str] = frozenset()
-    for c, bound in _scopes(e):
-        out |= free_vars_surface(c).difference(bound)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Program assembly
 # ---------------------------------------------------------------------------
 
 
 def collect_names(src_names: set[str], e: Expr) -> None:
-    """Add every name of e to src_names: variables, binders and service
-    names. No Python frame per nesting level."""
+    """Add every name of e to src_names: variables, binders (`SCOPES`) and
+    service names. No Python frame per nesting level."""
     todo = [e]
     while todo:
         x = todo.pop()
@@ -634,30 +606,19 @@ def collect_names(src_names: set[str], e: Expr) -> None:
             src_names.add(x.name)
         elif isinstance(x, ServerTemplate):
             src_names.update(p.service for r in x.rules for p in r.patterns)
-        for c, bound in _scopes(x):
+        scopes = SCOPES.get(type(x))
+        for c, bound in scopes(x) if scopes else zip(children(x), repeat(())):
             src_names.update(bound)
             todo.append(c)
 
 
 def _names(e: Expr) -> frozenset[str]:
-    """The names of e (`collect_names`), cached on e: they depend on e
-    alone, so a stdlib definition's are collected once per process."""
-    names = getattr(e, "_nmcache", None)
-    if names is None:
-        acc: set[str] = set()
-        collect_names(acc, e)
-        names = frozenset(acc)
-        object.__setattr__(e, "_nmcache", names)
-    return names
-
-
-def _free_names(e: Expr) -> frozenset[str]:
-    """The free names of e (`free_vars_surface`), cached on e like its names."""
-    names = getattr(e, "_fncache", None)
-    if names is None:
-        names = free_vars_surface(e)
-        object.__setattr__(e, "_fncache", names)
-    return names
+    """The names of e (`collect_names`). They depend on e alone, so each def
+    keeps its right-hand side's (`_nmcache`), and a stdlib definition's are
+    collected once per process."""
+    acc: set[str] = set()
+    collect_names(acc, e)
+    return frozenset(acc)
 
 
 def desugar_program(prog: Program, base_env: TypeEnv | None = None) -> Expr:
@@ -692,7 +653,7 @@ def desugar_program(prog: Program, base_env: TypeEnv | None = None) -> Expr:
     used: set[str] = set()
     for dfn in prog.defs:
         used.add(dfn.name)
-        used |= _names(dfn.rhs)
+        used |= memo(dfn.rhs, "_nmcache", _names)
     collect_names(used, prog.main)
     d = Desugarer(aliases, used)
     env: dict[str, TypeExpr] = dict(base_env or {})

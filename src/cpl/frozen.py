@@ -16,15 +16,23 @@ every step. Reading `__dict__` gives the instance a dict object, 64 bytes
 that inline attribute values would not need. `__repr__` has no recursion
 guard, as a frozen instance cannot contain itself. A method the class
 body defines is kept (`Univ.__eq__`, `Address.__hash__`).
+
+Derived data. Nodes are immutable, so each layer keeps what it derives from
+a node on the node. Each datum is declared once, as a `None` class attribute
+of the base class that carries it, and read as a plain attribute. `store`
+alone writes it, into the instance's `__dict__` (half the cost of getting
+round the refusal with `object.__setattr__`), so this module alone decides
+where a node keeps it; `memo` computes a datum on its first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from types import CodeType, FunctionType
-from typing import Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T", bound=type)
+V = TypeVar("V")
 
 _GLOBALS: dict = {}
 _TEMPLATES: dict[tuple[str, int], CodeType] = {}
@@ -103,3 +111,19 @@ def frozen(cls: T) -> T:
     cls.__setattr__ = _frozen_setattr  # type: ignore[assignment]
     cls.__delattr__ = _frozen_delattr  # type: ignore[assignment]
     return cls
+
+
+def store(node: object, name: str, value: V) -> V:
+    """Set attribute `name` of the frozen node to value, and return value:
+    a derived datum, or a field that `__post_init__` normalizes."""
+    node.__dict__[name] = value
+    return value
+
+
+def memo(node: object, name: str, compute: Callable[..., V]) -> V:
+    """The derived datum `name` of node: `compute(node)`, computed on the
+    first read and then kept."""
+    value = getattr(node, name)
+    if value is None:
+        value = store(node, name, compute(node))
+    return value

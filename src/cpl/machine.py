@@ -105,7 +105,7 @@ from .core import (
     substitute_type_in_expr,
 )
 from .errors import ExplosionError, StuckError
-from .frozen import frozen
+from .frozen import frozen, store
 from .pretty import pretty_expr
 
 Observation = tuple[int, str, tuple[Expr, ...]]
@@ -428,11 +428,11 @@ def _scan(
     for i, comp in enumerate(comps):
         # A summary does not depend on the routing table, so `step`'s is
         # cached on the component, like `is_value`'s.
-        s = getattr(comp, "_scache", None) if cached else None
+        s = comp._scache if cached else None
         if s is None:
             s = _summary(comp, forms)
             if cached:
-                object.__setattr__(comp, "_scache", s)
+                store(comp, "_scache", s)
         par, reqs, r = s
         if rcv is None and table is not None:
             for q in reqs:
@@ -500,11 +500,11 @@ def instantiate(fn: Expr, arg: TypeExpr) -> Expr:
     """
     if not isinstance(fn, TypeAbs):
         raise StuckError("type application of a non-universal value")
-    hit = getattr(fn, "_instcache", None)
+    hit = fn._instcache
     if hit is not None and hit[0] is arg:
         return hit[1]
     body = substitute_type_in_expr(fn.body, {fn.var: arg})
-    object.__setattr__(fn, "_instcache", (arg, body))
+    store(fn, "_instcache", (arg, body))
     return body
 
 

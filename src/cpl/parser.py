@@ -119,12 +119,24 @@ class SThunk(Expr):
     loc: Loc | None = _loc_field()
 
 
+# The derived forms' binders (`core.SCOPES`): a let binds its name over its
+# body, a letk its binders, a lambda its parameters.
+core.SCOPES.update({
+    SLet: lambda e: ((e.rhs, ()), (e.body, (e.name,))),
+    SLetK: lambda e: ((e.rhs, ()), (e.body, tuple(n for n, _ in e.binders))),
+    SLambda: lambda e: ((e.body, tuple(n for n, _ in e.params)),),
+    SApply: lambda e: tuple((x, ()) for x in (e.fn, *e.args)),
+    SThunk: lambda e: ((e.body, ()),),
+})
+
+
 @frozen
 class Definition:
     name: str
     ann: Optional[TypeExpr]
     rhs: Expr
     loc: Loc | None = None
+    _ldcache = None  # desugar.Desugarer._reuse (`cpl.frozen`'s derived data)
 
 
 @frozen

@@ -43,6 +43,7 @@ from .core import (
     Var,
     ZeroImage,
 )
+from .frozen import memo
 
 _INFIX = {
     "add": "+",
@@ -61,11 +62,7 @@ _INFIX = {
 def pretty_type(t: TypeExpr) -> str:
     """The text of t, cached on the node as `_ptcache`: types are immutable,
     and the stdlib's expanded annotations are shared by every load."""
-    text = getattr(t, "_ptcache", None)
-    if text is None:
-        text = _type_text(t)
-        object.__setattr__(t, "_ptcache", text)
-    return text
+    return memo(t, "_ptcache", _type_text)
 
 
 def _type_text(t: TypeExpr) -> str:
@@ -219,11 +216,7 @@ def _template_text(e: ServerTemplate) -> str:
 def _cached_text(e: Expr) -> str:
     """The text of a template or of a component of a parallel composition,
     cached on the node as `_pcache`."""
-    text = getattr(e, "_pcache", None)
-    if text is None:
-        text = _template_text(e) if type(e) is ServerTemplate else pretty_expr(e)
-        object.__setattr__(e, "_pcache", text)
-    return text
+    return memo(e, "_pcache", _template_text if type(e) is ServerTemplate else pretty_expr)
 
 
 def _atom(e: Expr) -> str:

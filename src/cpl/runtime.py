@@ -57,7 +57,6 @@ from .core import (
     MessageValue,
     Par,
     Placement,
-    ReactionRule,
     Repl,
     Request,
     ServerImage,
@@ -78,6 +77,7 @@ from .core import (
     with_children,
 )
 from .errors import MachineError
+from .frozen import memo
 from .machine import (
     TimerRounds,
     address_of,
@@ -227,12 +227,6 @@ class Runtime:
         with self._qlock:
             self._stop = True
             self._qlock.notify_all()
-
-    def __enter__(self) -> "Runtime":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
 
     # -- clock and ids --------------------------------------------------------
 
@@ -407,7 +401,7 @@ class Runtime:
                 if captured:
                     env.update(captured)
                 env.update(bindings)
-                _compiled(rule)(self, env)
+                memo(rule, "_ccache", lambda r: _compile(r.body))(self, env)
             finally:
                 with inst.lock:
                     inst.firing -= 1
@@ -429,15 +423,6 @@ class Runtime:
 
 
 Compiled = Callable[[Runtime, dict[str, Expr]], Expr]
-
-
-def _compiled(rule: ReactionRule) -> Compiled:
-    """The rule's body compiled, cached on the rule (`_ccache`)."""
-    f = getattr(rule, "_ccache", None)
-    if f is None:
-        f = _compile(rule.body)
-        object.__setattr__(rule, "_ccache", f)
-    return f
 
 
 def _compile(e: Expr) -> Compiled:

@@ -10,7 +10,7 @@ admissible.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from .builtins import OPS
 from .core import (
@@ -65,7 +65,7 @@ from .core import (
     substitute_type_in_type,
 )
 from .errors import CplError, Loc
-from .frozen import frozen
+from .frozen import frozen, store
 from .pretty import pretty_type
 
 
@@ -302,7 +302,7 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
             )
         for a, want in zip(e.args, t.args):
             # The def spine's right-hand sides are request arguments.
-            kept = getattr(a, "_tycache", None)
+            kept = a._tycache
             got = None if kept is None else _kept_type(ctx, sigma, kept)
             if got is None:
                 got = type_of(ctx, sigma, a)
@@ -365,8 +365,8 @@ def keep_type(e: Expr) -> None:
     reused while Σ is empty, no type variable is in scope and each of those
     types is identical or `==`: the typing rules then read nothing else. A
     failed check keeps nothing."""
-    if getattr(e, "_tycache", None) is None:
-        object.__setattr__(e, "_tycache", ())
+    if e._tycache is None:
+        store(e, "_tycache", ())
 
 
 def _plain_scope(ctx: TypeContext, sigma: LocationTyping) -> bool:
@@ -387,7 +387,7 @@ def _kept_type(ctx: TypeContext, sigma: LocationTyping, kept: tuple) -> Optional
 
 def _keep(ctx: TypeContext, sigma: LocationTyping, e: Expr, t: TypeExpr) -> None:
     if _plain_scope(ctx, sigma):
-        object.__setattr__(e, "_tycache", (t, tuple((n, ctx.lookup_var(n)) for n in free_vars(e))))
+        store(e, "_tycache", (t, tuple((n, ctx.lookup_var(n)) for n in free_vars(e))))
 
 
 def as_image_type(t: TypeExpr | None) -> Optional[ImgT]:
@@ -399,22 +399,23 @@ def as_image_type(t: TypeExpr | None) -> Optional[ImgT]:
     return None
 
 
+def _service_table(services: Iterable[tuple[str, SvcT]], conflict: str, loc: Loc | None = None) -> SrvT:
+    """The server type of the (name, service type) pairs; a name given
+    twice must carry one type, or `service <name> <conflict>` is raised."""
+    table: dict[str, SvcT] = {}
+    for name, svc in services:
+        prev = table.setdefault(name, svc)
+        if prev != svc:
+            raise TypeCheckError(
+                "InconsistentServiceType", f"service {name!r} {conflict}", loc, expected=prev, actual=svc
+            )
+    return SrvT(tuple(table.items()))
+
+
 def _type_of_template(ctx: TypeContext, sigma: LocationTyping, e: ServerTemplate) -> SrvT:
-    entries: dict[str, SvcT] = {}
     loc = getattr(e, "loc", None)
-    for r in e.rules:
-        for p in r.patterns:
-            svc = SvcT(tuple(t for _, t in p.params))
-            prev = entries.get(p.service)
-            if prev is None:
-                entries[p.service] = svc
-            elif prev != svc:
-                raise TypeCheckError(
-                    "InconsistentServiceType",
-                    f"service {p.service!r} declared at different types",
-                    loc, expected=prev, actual=svc,
-                )
-    ttype = SrvT(tuple(entries.items()))
+    services = ((p.service, SvcT(tuple(t for _, t in p.params))) for r in e.rules for p in r.patterns)
+    ttype = _service_table(services, "declared at different types", loc)
     if not free_type_vars(ttype) <= ctx.tvar_names():
         missing = sorted(free_type_vars(ttype) - ctx.tvar_names())
         raise TypeCheckError(
@@ -510,15 +511,4 @@ def check_routing_table(ctx: TypeContext, sigma: LocationTyping, table: RoutingT
 def server_type_union(t: SrvT, u: SrvT) -> SrvT:
     """Union of two server-template types; defined only when shared service
     names carry identical annotations."""
-    merged: dict[str, SvcT] = dict(t.services)
-    for name, svc in u.services:
-        prev = merged.get(name)
-        if prev is None:
-            merged[name] = svc
-        elif prev != svc:
-            raise TypeCheckError(
-                "InconsistentServiceType",
-                f"service {name!r} has conflicting annotations in union",
-                expected=prev, actual=svc,
-            )
-    return SrvT(tuple(merged.items()))
+    return _service_table((*t.services, *u.services), "has conflicting annotations in union")

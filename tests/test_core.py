@@ -157,6 +157,34 @@ class TestFreeVars:
         t = tpl(rule([pat("a", "x")], Request(Var("k"), (Var("x"), Var("y")))))
         assert free_vars(t) == {"k", "y"}
 
+    @staticmethod
+    def binder_cases():
+        """(term, its free variables): each derived form and the template,
+        each binding a name that also occurs free outside its scope."""
+        from cpl.parser import SApply, SLambda, SLet, SLetK, SThunk
+
+        x, y, k = Var("x"), Var("y"), Var("k")
+        uses = lambda *vs: Request(k, tuple(vs))  # noqa: E731
+        body = uses(ServiceRef(This(), "s"), x, y)
+        return [
+            (SLet("x", None, uses(x), uses(x, y)), {"k", "x", "y"}),
+            (SLet("x", None, y, x), {"y"}),
+            (SLetK((("x", INT),), uses(x), uses(x, y)), {"k", "x", "y"}),
+            (SLetK((("x", INT), ("k", INT)), uses(y), uses(x, y)), {"k", "y"}),
+            (SLambda((("x", INT), ("k", INT)), INT, uses(x, y)), {"y"}),
+            (SThunk(None, uses(x)), {"k", "x"}),
+            (SApply(x, (y, This())), {"x", "y", "this"}),
+            (tpl(rule([pat("s", "x")], body)), {"k", "y"}),
+            (ServerTemplate((rule([pat("s", "x")], body),), transparent_this=True), {"k", "y", "this"}),
+            (Par((SLet("x", None, y, x), SLambda((("y", INT),), INT, x))), {"x", "y"}),
+            (tpl(rule([pat("s", "x")], SLet("y", None, x, uses(This(), y)))), {"k"}),
+        ]
+
+    @pytest.mark.parametrize("index", range(11))
+    def test_free_vars_reads_the_binders_of_derived_forms_and_templates(self, index):
+        term, want = self.binder_cases()[index]
+        assert free_vars(term) == want
+
 
 class TestAddress:
     def test_hash_agrees_with_equality(self):

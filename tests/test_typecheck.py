@@ -234,6 +234,21 @@ class TestUnion:
             )
         assert ei.value.kind == "InconsistentServiceType"
 
+    def test_union_and_template_conflicts_keep_their_diagnostics(self):
+        """The union and a template's type share one service-table merge;
+        each keeps its message, location and expected/actual types."""
+        conflicts = [
+            (lambda: server_type_union(SrvT((("a", SvcT((INT,))),)), SrvT((("a", SvcT((BOOL,))),))),
+             "InconsistentServiceType: service 'a' has conflicting annotations in union (expected <Int>, got <Bool>)"),
+            (lambda: type_of(EMPTY, {}, parse_expr("srv { a<x: Int> :> par  a<y: Bool> :> par }")),
+             "1:1: InconsistentServiceType: service 'a' declared at different types (expected <Int>, got <Bool>)"),
+        ]
+        for conflict, text in conflicts:
+            with pytest.raises(TypeCheckError) as ei:
+                conflict()
+            assert str(ei.value) == text
+            assert (ei.value.expected, ei.value.actual) == (SvcT((INT,)), SvcT((BOOL,)))
+
 
 def test_repl_image_interface_preserved():
     # replacing with an image of a narrower server type is allowed,
