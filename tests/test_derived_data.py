@@ -59,7 +59,7 @@ def _walk(roots):
     seen, todo = set(), list(roots)
     while todo:
         x = todo.pop()
-        if id(x) in seen or isinstance(x, (str, int, float, bool, type(None), type)) or callable(x) and not _frozen(x):
+        if id(x) in seen or isinstance(x, (str, int, float, bool, type(None), type)) or callable(x):
             continue
         seen.add(id(x))
         yield x
