@@ -31,6 +31,7 @@ from .core import (
     MapV,
     TupleV,
     TypeExpr,
+    eager_repr,
     is_value,
 )
 from .errors import MachineError
@@ -193,7 +194,7 @@ def _mk_map(args: tuple[Expr, ...], fx: EffectContext) -> Expr:
 def _get(args: tuple[Expr, ...], fx: EffectContext) -> Expr:
     v = _map_get(args[0], args[1])
     if v is None:
-        raise _Fault(f"missing key {args[1]!r}")
+        raise _Fault(f"missing key {eager_repr(args[1])}")
     return v
 
 

@@ -189,6 +189,7 @@ class Expr:
     _pcache = None  # pretty._cached_text, on a template or soup component
     _tycache = None  # typecheck.keep_type, on a def's lowered right-hand side
     _instcache = None  # machine.instantiate, on a type abstraction
+    _iccache = None  # runtime._compile, on a type abstraction: the instantiated body compiled
     _nmcache = None  # desugar.desugar_program, on a def's right-hand side
 
 
@@ -254,6 +255,44 @@ class ServerTemplate(Expr):
                 if p.service not in out:
                     out.append(p.service)
         return tuple(out)
+
+
+@frozen
+class Closure(Expr):
+    """A server template substituted into without entering its rules: its
+    code, the template as written and shared by every copy, and `env`, the
+    closed values substituted for some of the code's free names (`close`).
+
+    It stands for the template `force` builds, which eager substitution
+    would have built: `==`, `hash`, `rules` and every reader that needs the
+    closed term go through it, and `eager_repr` shows it where a repr is
+    seen. Matching reads the code's patterns, which substitution of closed
+    values leaves as they are. `env` is never mutated."""
+
+    code: ServerTemplate
+    env: dict[str, Expr]
+    _fcache = None  # force: the template
+    _bcache = None  # close: the forced closure this one extends and the names added, until forced
+    _rcache = None  # fire_rule: per rule, True once fired, then its body under env
+
+    @property
+    def rules(self) -> tuple[ReactionRule, ...]:
+        return force(self).rules
+
+    @property
+    def loc(self) -> Loc | None:
+        return self.code.loc
+
+    def service_names(self) -> tuple[str, ...]:
+        return self.code.service_names()
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is Closure:
+            other = force(other)
+        return force(self) == other if type(other) is ServerTemplate else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(force(self))
 
 
 @frozen
@@ -391,7 +430,7 @@ class MapV(Expr):
     loc: Loc | None = _loc_field()
 
     def __post_init__(self) -> None:
-        store(self, "entries", tuple(sorted(self.entries, key=lambda kv: repr(kv[0]))))
+        store(self, "entries", tuple(sorted(self.entries, key=lambda kv: eager_repr(kv[0]))))
 
 
 @frozen
@@ -621,6 +660,7 @@ SHAPES: dict[type, Shape] = {
     BaseLit: _LEAF,
     ExternalRef: _LEAF,
     ServerTemplate: _LEAF,
+    Closure: _LEAF,
     Spwn: Shape(lambda e: (e.expr,), lambda e, k: Spwn(k[0], e.placement, loc=e.loc)),
     ServiceRef: Shape(lambda e: (e.target,), lambda e, k: ServiceRef(k[0], e.service, loc=e.loc)),
     Request: Shape(lambda e: (e.callee, *e.args), lambda e, k: Request(k[0], tuple(k[1:]), loc=e.loc)),
@@ -698,13 +738,13 @@ def with_children(e: Expr, kids: Sequence[Expr]) -> Expr:
 # neither kind (surface sugar) is not a value.
 for _cls in (Var, This, Spwn, Request, Snap, Repl, TypeApp, BaseOp, If):
     _cls._vcache = False
-for _cls in (ServerTemplate, Addr, ZeroImage, TypeAbs, BaseLit, ExternalRef):
+for _cls in (ServerTemplate, Closure, Addr, ZeroImage, TypeAbs, BaseLit, ExternalRef):
     _cls._vcache = True
 
 VALUE_RULES: dict[type, Callable[[Any], bool]] = {
     ServiceRef: lambda e: isinstance(e.target, (Addr, ExternalRef)),
     Par: lambda e: not e.exprs,
-    Image: lambda e: isinstance(e.template, ServerTemplate)
+    Image: lambda e: isinstance(e.template, (ServerTemplate, Closure))
     and all(is_value(a) for m in e.buffer for a in m.args),
     TupleV: lambda e: all(map(is_value, e.items)),
     ListV: lambda e: all(map(is_value, e.items)),
@@ -728,12 +768,16 @@ def is_value(e: Expr) -> bool:
 _NO_NAMES: frozenset[str] = frozenset()
 
 # Each binder's subterms with the names it binds over them: a template binds
-# its rules' parameters, and `this` unless it is transparent; `parser` adds
-# the derived forms. Every other class binds nothing over its `children`.
+# its rules' parameters, and `this` unless it is transparent; a closure binds
+# its environment's names over its code; `parser` adds the derived forms.
+# Every other class binds nothing over its `children`. This is the one
+# statement of the binder rule: free variables, substitution, forcing,
+# firing a closure and `alpha_eq` read it.
 SCOPES: dict[type, Callable[[Any], tuple[tuple[Expr, tuple[str, ...]], ...]]] = {
     ServerTemplate: lambda e: tuple(
         (r.body, r.bound_names if e.transparent_this else r.bound_names + (THIS,)) for r in e.rules
     ),
+    Closure: lambda e: ((e.code, tuple(e.env)),),
 }
 
 
@@ -792,6 +836,9 @@ def expr_type_vars(e: Expr) -> frozenset[str]:
                     out |= free_type_vars(t)
             out |= expr_type_vars(r.body)
         tv = frozenset(out)
+    elif type(e) is Closure:
+        # Each value of the environment occurs in the forced template.
+        tv = expr_type_vars(e.code).union(*map(expr_type_vars, e.env.values()))
     elif isinstance(e, TypeAbs):
         tv = free_type_vars(e.bound) | (expr_type_vars(e.body) - {e.var})
     elif isinstance(e, TypeApp):
@@ -822,6 +869,22 @@ def fresh_name(base: str, avoid: frozenset[str] | set[str]) -> str:
 
 Substitution = Mapping[str, Expr]
 
+# Substitution stops at server templates. Where it reaches a template, or a
+# closure, with free names it replaces by closed values, it builds a
+# `Closure`: the code as written and the values of those names, in
+# O(free names), without entering the rules (an environment machine's flat
+# closure: Cardelli, LFP 1984; Biernacka & Danvy, ACM TOCL 9(1), 2007). A
+# closure reached again extends its environment. The terms it stands for are
+# built only where they are read:
+# - `fire_rule` substitutes the fired rule's body alone, under the
+#   environment, then `this`, then the bindings;
+# - `force` builds the whole template that eager substitution would have
+#   built, memoised on the closure, for the readers that need the closed
+#   term (the printer, `canonical`, `alpha_eq`, `==`, `hash`, `eager_repr`
+#   and the checker); type substitution maps the code and forces nothing.
+# Values with free variables are substituted eagerly, with the
+# capture-avoiding renaming of rule parameters (`_subst_template`).
+
 
 def substitute(e: Expr, subst: Substitution) -> Expr:
     """Capture-avoiding simultaneous substitution of values for variables.
@@ -844,34 +907,115 @@ def _subst(e: Expr, s: dict[str, Expr]) -> Expr:
         return s.get(e.name, e)
     if cls is This:
         return s.get(THIS, e)
-    if cls is ServerTemplate:
-        return _subst_template(e, s)
+    if cls is ServerTemplate or cls is Closure:
+        if all(not free_vars(s[n]) for n in free_vars(e) if n in s):
+            return close(e, s)
+        return _subst_template(force(e) if cls is Closure else e, s)
     shape = SHAPES.get(cls, _LEAF)
     return shape.rebuild(e, [_subst(c, s) for c in shape.children(e)])
 
 
+def close(t: Union[ServerTemplate, Closure], s: Mapping[str, Expr]) -> Closure:
+    """The closure of t under the closed values s gives its free names.
+
+    The environment keeps only those names, in name order. A closure that
+    extends a forced one remembers it, so that `force` starts from it and
+    shares the subterms the new names leave alone, as eager substitution
+    would."""
+    names = sorted(n for n in free_vars(t) if n in s)
+    if type(t) is not Closure:
+        return Closure(t, {n: s[n] for n in names})
+    added = {n: s[n] for n in names}
+    c = Closure(t.code, {**t.env, **added})
+    if t._fcache is not None or t._bcache is not None:
+        store(c, "_bcache", (t, added))
+    return c
+
+
+def force(e: Expr) -> Expr:
+    """The template a closure stands for, as eager substitution of its
+    environment builds it; any other term as it is. Memoised on the
+    closure, and built from the closure it extends when there is one, which
+    is then let go."""
+    if type(e) is not Closure:
+        return e
+    t = e._fcache
+    if t is None:
+        link = e._bcache
+        if link is None:
+            t = _subst_template(e.code, e.env)
+        else:
+            t = _subst_template(force(link[0]), link[1])
+            store(e, "_bcache", None)
+        store(e, "_fcache", t)
+        store(e, "_rcache", None)
+    return t
+
+
+def fire_rule(c: Closure, i: int, bindings: Bindings, this: Expr) -> Expr:
+    """Rule React's instance of rule i of c: its body under the
+    environment, then `this`, then the bindings, as firing rule i of the
+    forced template would give.
+
+    A forced closure fires from the forced body. Otherwise a rule's first
+    firing substitutes its body from the code in one walk, so a one-shot
+    `let` wrapper pays for nothing else. From its second firing on, and from
+    its first if its body reads neither a parameter nor `this`, the rule
+    fires from its body under the environment, built once per closure, so a
+    hot server pays for its environment once."""
+    forced = c._fcache
+    if forced is not None:
+        body = forced.rules[i].body
+    else:
+        done = c._rcache or (None,) * len(c.code.rules)
+        body = done[i]
+        if body is None or body is True:
+            written, bound = SCOPES[ServerTemplate](c.code)[i]
+            if body is None and not free_vars(written).isdisjoint(bound):
+                store(c, "_rcache", done[:i] + (True,) + done[i + 1 :])
+                s = dict(c.env)
+                s.setdefault(THIS, this)
+                s.update(bindings)
+                return _subst(written, s)
+            body = _subst(written, {n: v for n, v in c.env.items() if n not in bound})
+            store(c, "_rcache", done[:i] + (body,) + done[i + 1 :])
+    s = dict(bindings)
+    s[THIS] = this
+    return _subst(body, s)
+
+
+def eager_repr(e: Expr) -> str:
+    """The repr of e as eager substitution would have built it, which map
+    keys sort by and faults show: a closure at any depth shows as the
+    template it stands for."""
+    text = repr(e)
+    return text if "Closure(" not in text else repr(_eager(e))
+
+
+def _eager(e: Expr) -> Expr:
+    e = force(e)
+    if type(e) is ServerTemplate:
+        rules = tuple(ReactionRule(r.patterns, _eager(r.body)) for r in e.rules)
+        return ServerTemplate(rules, e.transparent_this, loc=e.loc)
+    return with_children(e, [_eager(c) for c in children(e)])
+
+
 def _subst_template(t: ServerTemplate, s: dict[str, Expr]) -> ServerTemplate:
+    """Eager substitution into every rule of t, renaming any parameter that
+    would capture a free variable of the values."""
     new_rules = []
-    for rule in t.rules:
-        bound = set(rule.bound_names)
+    for rule, (body, bound) in zip(t.rules, SCOPES[ServerTemplate](t)):
         local = {k: v for k, v in s.items() if k not in bound}
-        if not t.transparent_this:
-            local.pop(THIS, None)
         if not local:
             new_rules.append(rule)
             continue
-        # Rename any rule parameter that would capture a free variable of the
-        # replacement values.
         range_free: set[str] = set()
         for v in local.values():
             range_free |= free_vars(v)
-        clashes = bound & range_free
+        clashes = range_free.intersection(rule.bound_names)
         patterns = rule.patterns
-        body = rule.body
         if clashes:
-            avoid = frozenset(
-                range_free | bound | free_vars(body) | set(local.keys())
-            )
+            avoid = frozenset(range_free | set(bound) | free_vars(body) | set(local.keys()))
             renaming: dict[str, Expr] = {}
             fresh_by_old: dict[str, str] = {}
             for old in sorted(clashes):
@@ -946,6 +1090,12 @@ def substitute_type_in_expr(e: Expr, subst: Mapping[str, TypeExpr]) -> Expr:
     tv = expr_type_vars(e)
     if not any(k in tv for k in subst):
         return e
+    if type(e) is Closure:
+        # Into a closure whose values mention no type variable, substituting
+        # into the code commutes with forcing, so it forces nothing.
+        if any(map(expr_type_vars, e.env.values())):
+            return substitute_type_in_expr(force(e), subst)
+        return Closure(substitute_type_in_expr(e.code, subst), e.env)
     if isinstance(e, ServerTemplate):
         rules = tuple(
             ReactionRule(
@@ -993,7 +1143,9 @@ def alpha_eq(a: Expr, b: Expr, env: tuple[tuple[str, str], ...] = ()) -> bool:
     """Structural equality modulo bound names (rule parameters and type binders).
 
     A node with subterms is rebuilt around b's subterms, so `==` compares only
-    its other fields (`loc` takes no part), and the subterms pairwise."""
+    its other fields (`loc` takes no part), and the subterms pairwise.
+    Closures compare as the templates they stand for."""
+    a, b = force(a), force(b)
     if isinstance(a, Var) and isinstance(b, Var):
         for x, y in reversed(env):
             if a.name == x or b.name == y:
@@ -1005,11 +1157,12 @@ def alpha_eq(a: Expr, b: Expr, env: tuple[tuple[str, str], ...] = ()) -> bool:
         assert isinstance(b, ServerTemplate)
         if a.transparent_this != b.transparent_this or len(a.rules) != len(b.rules):
             return False
-        for ra, rb in zip(a.rules, b.rules):
+        scopes = SCOPES[ServerTemplate]
+        for ra, rb, (ba, na), (bb, nb) in zip(a.rules, b.rules, scopes(a), scopes(b)):
             services = [(p.service, tuple(t for _, t in p.params)) for p in ra.patterns]
             if services != [(p.service, tuple(t for _, t in p.params)) for p in rb.patterns]:
                 return False
-            if not alpha_eq(ra.body, rb.body, env + tuple(zip(ra.bound_names, rb.bound_names))):
+            if not alpha_eq(ba, bb, env + tuple(zip(na, nb))):
                 return False
         return True
     if isinstance(a, TypeAbs):

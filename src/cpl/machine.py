@@ -17,8 +17,8 @@ while its component stays in the soup. `step` reads the summaries in
 component order and checks the requests against the routing table there, so
 a Repl that makes an instance live or inert invalidates nothing.
 
-What a step costs. Whether a term is a value is a flag of its class for 15
-of the 21 term classes (`core.is_value`), so a node a step has just built
+What a step costs. Whether a term is a value is a flag of its class for 16
+of the 22 term classes (`core.is_value`), so a node a step has just built
 answers at once; only service references, parallel compositions, images,
 tuples, lists and maps decide per instance, once, and cache the answer on
 the node. A step then walks again only what it built: the summary of the
@@ -26,11 +26,12 @@ component it rewrote or appended, or of the components a Par step spliced
 into the soup (one pass over the non-value evaluation positions, each
 subterm's flag read once), and, for React, the rule body it substitutes
 into, descending only where a node's cached free variables meet the
-substitution and sharing every other subterm. A step that writes no routing
-table entry (Par, Base, If, TAppAbs, Snap, and a request to an engine
-endpoint) shares its parent's table and ready set; Rcv, React, Spwn and Repl
-copy both before writing, so every earlier configuration, which the bounded
-explorer keeps, stays as it was.
+substitution, stopping at server templates, which it closes over the
+values (`core.Closure`), and sharing every other subterm. A step that
+writes no routing table entry (Par, Base, If, TAppAbs, Snap, and a request
+to an engine endpoint) shares its parent's table and ready set; Rcv, React,
+Spwn and Repl copy both before writing, so every earlier configuration,
+which the bounded explorer keeps, stays as it was.
 
 React does not scan the routing table. Every configuration carries a ready
 set: the addresses whose entry is live and whose buffer matches at least one
@@ -71,6 +72,7 @@ from .core import (
     BaseLit,
     BaseOp,
     Bindings,
+    Closure,
     Expr,
     ExternalRef,
     If,
@@ -98,6 +100,7 @@ from .core import (
     TypeExpr,
     ZeroImage,
     bind,
+    fire_rule,
     image_of,
     is_value,
     shape_of,
@@ -291,7 +294,8 @@ def enumerate_matches(patterns, buffer: tuple[MessageValue, ...]) -> list[MatchR
 def _reacts(entry: ServerImage) -> bool:
     """Whether some rule of a live entry matches its buffer."""
     if isinstance(entry, Live):
-        for rule in entry.template.rules:
+        t = entry.template
+        for rule in (t.code if type(t) is Closure else t).rules:
             if entry.mailbox.can_take(rule.patterns):
                 return True
     return False
@@ -464,9 +468,9 @@ def spawnable(v: Expr, op: str) -> ServerImage:
     a template means (template, eps)."""
     if isinstance(v, ZeroImage):
         return Inert()
-    if isinstance(v, ServerTemplate):
+    if isinstance(v, (ServerTemplate, Closure)):
         return Live(v, ())
-    if isinstance(v, Image) and isinstance(v.template, ServerTemplate) and is_value(v):
+    if isinstance(v, Image) and is_value(v):
         return Live(v.template, v.buffer)
     raise StuckError(f"{op} applied to a non-image value: {pretty_expr(v)}")
 
@@ -577,7 +581,8 @@ def _react(config: Config, policy: Policy) -> Stepped:
     after = [a for a in config.ready if a.id >= policy.cursor]
     addr = min(after or config.ready, key=lambda a: a.id)
     entry = config.table[addr]
-    for ridx, rule in enumerate(entry.template.rules):
+    t = entry.template
+    for ridx, rule in enumerate((t.code if type(t) is Closure else t).rules):
         m = match_patterns(rule.patterns, entry.mailbox, policy)
         if m is not None:
             break
@@ -589,14 +594,23 @@ def _react(config: Config, policy: Policy) -> Stepped:
 
 def _fire(config: Config, addr: Address, ridx: int, m: MatchResult) -> Stepped:
     """Rule React: the instance at addr fires its rule ridx on match m. The
-    residual becomes its buffer and the instantiated body joins the top level."""
+    residual becomes its buffer and the instantiated body joins the top level.
+
+    Only the fired rule's body is substituted into. A closure's is
+    substituted under its environment too (`core.fire_rule`), so the other
+    rules, and the templates in this one, stay as they are until a reader
+    forces them."""
     template = config.table[addr].template
-    subst = m.substitution()
-    subst[THIS] = Addr(addr)
+    if type(template) is Closure:
+        body = fire_rule(template, ridx, m.subst, Addr(addr))
+    else:
+        subst = m.substitution()
+        subst[THIS] = Addr(addr)
+        body = substitute(template.rules[ridx].body, subst)
     c = config.copy()
     c.put(addr, Live(template, m.residual))
     assert isinstance(c.expr, Par)
-    c.expr = Par(c.expr.exprs + (substitute(template.rules[ridx].body, subst),))
+    c.expr = Par(c.expr.exprs + (body,))
     return Stepped(c, "React", f"@{addr.id}/r{ridx + 1}")
 
 
@@ -855,7 +869,8 @@ def _successors(config: Config) -> Iterator[Config]:
     for addr in sorted(config.table, key=lambda a: a.id):
         entry = config.table[addr]
         if isinstance(entry, Live):
-            for ridx, rule in enumerate(entry.template.rules):
+            t = entry.template
+            for ridx, rule in enumerate((t.code if type(t) is Closure else t).rules):
                 for m in enumerate_matches(rule.patterns, entry.buffer):
                     yield _fire(config, addr, ridx, m).config
 

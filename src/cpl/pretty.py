@@ -10,6 +10,7 @@ from .core import (
     BaseOp,
     BaseT,
     Bot,
+    Closure,
     DataT,
     Expr,
     ExternalRef,
@@ -42,6 +43,7 @@ from .core import (
     Univ,
     Var,
     ZeroImage,
+    force,
 )
 from .frozen import memo
 
@@ -117,10 +119,12 @@ def pretty_message(m: MessageValue) -> str:
 
 
 def pretty_expr(e: Expr) -> str:
-    """The text of e. A server template's text is cached on the node as
-    `_pcache`, and so is the text of each component of a parallel
-    composition: substitution and Spwn share templates between steps, the
-    stdlib's live for the whole process, and a trace prints a soup whose
+    """The text of e; a closure prints as the template it forces to. A
+    server template's text is cached on the node as `_pcache`, and so is
+    the text of each component of a parallel composition: substitution and
+    Spwn share templates between steps, forcing a closure that extends a
+    forced one shares the subterms the new names leave alone, the stdlib's
+    templates live for the whole process, and a trace prints a soup whose
     components mostly outlive the step. Terms are immutable, so the text
     cannot go stale. No other node keeps its text, which would hold
     O(size × depth) of it. The classes a trace meets most are tested
@@ -148,6 +152,8 @@ def pretty_expr(e: Expr) -> str:
         return "(" + " || ".join(map(_cached_text, e.exprs)) + ")"
     if isinstance(e, ServerTemplate):
         return _cached_text(e)
+    if type(e) is Closure:
+        return _cached_text(force(e))
     if isinstance(e, Spwn):
         kw = "spwn local " if e.placement is Placement.LOCAL else "spwn "
         return kw + _atom(e.expr)

@@ -15,17 +15,16 @@ Lapalme, 1987) and kept on the rule; the closures hold subterms only, never
 a runtime, bindings or an address, so the stdlib's rules, which live for the
 whole process, pin no run. The body runs under the firing's bindings (the
 matched parameters and `this`) instead of substituting them into a copy of
-the body first, as the machine's React rule does. Spawning a template whose
-free variables are all bound does not close it either: the instance keeps
-the template as written next to the captured bindings (an environment
-closure), and its firings run under `this`, then the captured names, then
-the matched parameters, so a transparent `srv*` keeps the enclosing `this`
-and a parameter shadows a captured name. A Snap closes the template by
-substitution, giving the image the machine's Spwn would have installed, and
-a Repl drops the captured bindings with the template. The results are the
-same: any other value that still has free variables is closed by
-substitution when it escapes the firing (sent, observed, installed, held in
-an image or type abstraction, or returned to an enclosing operation).
+the body first, as the machine's React rule does. Templates closed over
+values are `core.Closure`s, as on the machine. A value that still has free
+variables is closed when it escapes the firing (spawned, sent, observed,
+installed, held in an image or type abstraction, or returned to an
+enclosing operation): a template with substitution's constructor,
+`core.close`, any other value by substitution. A closure's instance matches
+with its code's patterns and fires the code's rule, compiled once per
+process, under `this`, then the environment, then the matched parameters,
+so a transparent `srv*` keeps the enclosing `this` and a parameter shadows
+an environment name.
 
 `await_quiescence` settles the pool once per timer round; whether another
 round fires is the machine's idle-timer rule, `machine.TimerRounds`.
@@ -47,6 +46,7 @@ from .core import (
     Addr,
     Address,
     BaseOp,
+    Closure,
     Expr,
     ExternalRef,
     If,
@@ -69,6 +69,7 @@ from .core import (
     TypeApp,
     Var,
     children,
+    close,
     free_vars,
     image_of,
     is_value,
@@ -77,7 +78,7 @@ from .core import (
     with_children,
 )
 from .errors import MachineError
-from .frozen import memo
+from .frozen import memo, store
 from .machine import (
     TimerRounds,
     address_of,
@@ -96,6 +97,7 @@ _INLINE_DEPTH_LIMIT = 40
 _MATCH_POLICY = deterministic()
 # The values that a compiled term rebuilds from its evaluated subterms.
 _REBUILT = (ServiceRef, Image, TupleV, ListV, MapV)
+_TEMPLATES = (ServerTemplate, Closure)
 _UNIT = Par(())
 
 
@@ -159,9 +161,6 @@ class _Tracker:
 class _Instance:
     address: Address
     entry: ServerImage
-    # The bindings of the template's free variables, set when a template is
-    # spawned unclosed; `entry` is then Live with that template.
-    captured: dict[str, Expr] | None = None
     lock: threading.Lock = field(default_factory=threading.Lock)
     scheduled: bool = False
     firing: int = 0
@@ -247,14 +246,9 @@ class Runtime:
         self._submit(lambda: _compile(closed)(self, {}))
         return self
 
-    def rt_spawn(
-        self, image: Expr, placement: Placement = Placement.REMOTE, captured: dict[str, Expr] | None = None
-    ) -> Address:
-        """Install `image`; `captured` binds the free variables of an image
-        that is a template spawned unclosed."""
+    def rt_spawn(self, image: Expr, placement: Placement = Placement.REMOTE) -> Address:
         entry = spawnable(image, "spwn")
-        addr = Address(next(self._next_addr), placement)
-        inst = _Instance(addr, entry, captured)
+        inst = _Instance(addr := Address(next(self._next_addr), placement), entry)
         with self._reg_lock:
             self._instances[addr] = inst
         if isinstance(entry, Live) and entry.mailbox:
@@ -280,14 +274,13 @@ class Runtime:
     def rt_snapshot(self, addr: Address) -> Expr:
         inst = self._lookup(addr)
         with inst.lock:
-            entry, captured = inst.entry, inst.captured
-        return substitute(image_of(entry), captured) if captured else image_of(entry)
+            return image_of(inst.entry)
 
     def rt_replace(self, addr: Address, image: Expr) -> None:
         inst = self._lookup(addr)
         entry = spawnable(image, "repl")
         with inst.lock:
-            inst.entry, inst.captured = entry, None
+            inst.entry = entry
             self.replace_log.append((addr, len(entry.mailbox) if isinstance(entry, Live) else 0))
         if isinstance(entry, Live):
             self._schedule_pump(inst)
@@ -380,14 +373,14 @@ class Runtime:
     def _pump(self, inst: _Instance) -> None:
         while True:
             with inst.lock:
-                fired = None
-                entry, captured = inst.entry, inst.captured
+                fired, entry = None, inst.entry
                 # No firing starts after shutdown, so a self-sending rule ends.
                 if isinstance(entry, Live) and not self._stop:
-                    for rule in entry.template.rules:
+                    t = entry.template
+                    for rule in (t.code if type(t) is Closure else t).rules:
                         m = match_patterns(rule.patterns, entry.mailbox, _MATCH_POLICY)
                         if m is not None:
-                            inst.entry = Live(entry.template, m.residual)
+                            inst.entry = Live(t, m.residual)
                             fired = (rule, m.subst)
                             break
                 if fired is None:
@@ -398,8 +391,8 @@ class Runtime:
             rule, bindings = fired
             try:
                 env = {THIS: Addr(inst.address)}
-                if captured:
-                    env.update(captured)
+                if type(t) is Closure:
+                    env.update(t.env)
                 env.update(bindings)
                 memo(rule, "_ccache", lambda r: _compile(r.body))(self, env)
             finally:
@@ -433,11 +426,15 @@ def _compile(e: Expr) -> Compiled:
         name = e.name if isinstance(e, Var) else THIS
         return lambda rt, env: env[name] if name in env else _open(e)
     if is_value(e):
-        return (lambda rt, env: substitute(e, env)) if free_vars(e) else (lambda rt, env: e)
+        if not free_vars(e):
+            return lambda rt, env: e
+        if type(e) in _TEMPLATES:
+            return lambda rt, env: close(e, env)
+        return lambda rt, env: substitute(e, env)
     if isinstance(e, Request):
         ref = e.callee if isinstance(e.callee, ServiceRef) else None
         # A send to `t#s` needs only t's address: no reference is built for
-        # a target looked up in env, such as a captured name.
+        # a target looked up in env, such as an environment name.
         callee = _compile(e.callee if ref is None else ref.target)
         args = [_compile(a) for a in e.args]
 
@@ -460,14 +457,7 @@ def _compile(e: Expr) -> Compiled:
 
         return par
     if isinstance(e, Spwn):
-        fv = free_vars(e.expr) if isinstance(e.expr, ServerTemplate) else None
-
-        def spwn(rt, env):
-            if fv and fv <= env.keys():
-                return Addr(rt.rt_spawn(e.expr, e.placement, {n: env[n] for n in fv}))
-            return Addr(rt.rt_spawn(kids[0](rt, env), e.placement))
-
-        return spwn
+        return lambda rt, env: Addr(rt.rt_spawn(kids[0](rt, env), e.placement))
     if isinstance(e, Snap):
         return lambda rt, env: rt.rt_snapshot(address_of(kids[0](rt, env), "snap", rt._instances))
     if isinstance(e, Repl):
@@ -479,8 +469,17 @@ def _compile(e: Expr) -> Compiled:
 
         return repl
     if isinstance(e, TypeApp):
-        # The instantiated body of a closed abstraction is closed.
-        return lambda rt, env: _compile(instantiate(kids[0](rt, env), e.arg))(rt, {})
+
+        def tapp(rt, env):
+            # The instantiated body of a closed abstraction is closed; it is
+            # compiled once for each `instantiate` memo entry, kept beside it.
+            fn = kids[0](rt, env)
+            body, hit = instantiate(fn, e.arg), fn._iccache
+            if hit is None or hit[0] is not body:
+                hit = store(fn, "_iccache", (body, _compile(body)))
+            return hit[1](rt, {})
+
+        return tapp
     if isinstance(e, BaseOp):
         return lambda rt, env: rt.apply_builtin(e.op, tuple([f(rt, env) for f in kids]))
     if isinstance(e, If):

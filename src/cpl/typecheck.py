@@ -28,6 +28,7 @@ from .core import (
     BaseLit,
     BaseOp,
     Bot,
+    Closure,
     DataT,
     Expr,
     ExternalRef,
@@ -58,6 +59,7 @@ from .core import (
     Univ,
     Var,
     ZeroImage,
+    force,
     free_type_vars,
     free_vars,
     fresh_name,
@@ -249,6 +251,8 @@ def type_of(ctx: TypeContext, sigma: LocationTyping, e: Expr) -> TypeExpr:
         return UNIT
     if isinstance(e, ServerTemplate):
         return _type_of_template(ctx, sigma, e)
+    if type(e) is Closure:
+        return _type_of_template(ctx, sigma, force(e))
     if isinstance(e, ZeroImage):
         return ImgT(SRV_BOT)
     if isinstance(e, Image):
@@ -416,8 +420,10 @@ def _type_of_template(ctx: TypeContext, sigma: LocationTyping, e: ServerTemplate
     loc = getattr(e, "loc", None)
     services = ((p.service, SvcT(tuple(t for _, t in p.params))) for r in e.rules for p in r.patterns)
     ttype = _service_table(services, "declared at different types", loc)
-    if not free_type_vars(ttype) <= ctx.tvar_names():
-        missing = sorted(free_type_vars(ttype) - ctx.tvar_names())
+    # A closed template type needs no walk over the context.
+    ftv = free_type_vars(ttype)
+    if ftv and not ftv <= ctx.tvar_names():
+        missing = sorted(ftv - ctx.tvar_names())
         raise TypeCheckError(
             "EscapingTypeVar", f"template type mentions unbound type variables {missing}", loc
         )

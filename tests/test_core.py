@@ -56,6 +56,9 @@ FACT_TEMPLATE = tpl(
     rule([pat("fac", "n"), pat("acc", "a")], Request(ServiceRef(This(), "res"), (Var("a"),))),
 )
 
+# A template with one free name, k, for the closures among the samples.
+OPEN_TEMPLATE = tpl(rule([pat("go", "p")], Request(Var("k"), (Var("p"),))))
+
 
 class TestSubstitute:
     def test_variable_hit(self):
@@ -215,14 +218,16 @@ class TestValues:
 
 def _reference_is_value(e) -> bool:
     """`is_value` decided per instance, with no flag and no cache."""
-    if isinstance(e, (ServerTemplate, Addr, core.ZeroImage, core.TypeAbs, BaseLit, core.ExternalRef)):
+    if isinstance(e, (ServerTemplate, core.Closure, Addr, core.ZeroImage, core.TypeAbs, BaseLit, core.ExternalRef)):
         return True
     if isinstance(e, ServiceRef):
         return isinstance(e.target, (Addr, core.ExternalRef))
     if isinstance(e, Par):
         return len(e.exprs) == 0
     if isinstance(e, Image):
-        return isinstance(e.template, ServerTemplate) and all(map(_reference_is_value, core.children(e)[1:]))
+        return isinstance(e.template, (ServerTemplate, core.Closure)) and all(
+            map(_reference_is_value, core.children(e)[1:])
+        )
     if isinstance(e, (core.TupleV, core.ListV, core.MapV)):
         return all(map(_reference_is_value, core.children(e)))
     return False
@@ -235,7 +240,7 @@ def fresh_value_samples():
     waiting = Request(Var("k"), ())
     return [
         Var("x"), This(), addr, core.ZeroImage(), one, core.ExternalRef("result"), FACT_TEMPLATE,
-        core.Spwn(FACT_TEMPLATE), core.Snap(addr), core.Repl(addr, core.ZeroImage()),
+        core.Closure(OPEN_TEMPLATE, {"k": addr}), core.Spwn(FACT_TEMPLATE), core.Snap(addr), core.Repl(addr, core.ZeroImage()),
         Request(core.ExternalRef("print"), (one,)), waiting,
         ServiceRef(addr, "a"), ServiceRef(core.ExternalRef("timer"), "a"), ServiceRef(Var("y"), "a"),
         ServiceRef(waiting, "a"),
@@ -281,6 +286,7 @@ def one_of_each_expr_class(loc):
         core.Var("v", loc=loc),
         core.This(loc=loc),
         core.ServerTemplate(FACT_TEMPLATE.rules, loc=loc),
+        core.Closure(core.ServerTemplate(OPEN_TEMPLATE.rules, loc=loc), {"k": y}),
         core.Spwn(x, core.Placement.LOCAL, loc=loc),
         core.ServiceRef(x, "svc", loc=loc),
         core.Request(x, (y, x), loc=loc),
@@ -509,7 +515,7 @@ class TestNodeContract:
     """Each frozen class behaves as a frozen dataclass with its fields: a
     twin made by `dataclasses.make_dataclass` from them is the reference."""
 
-    OWN_EQUALITY = {"Univ", "Address"}
+    OWN_EQUALITY = {"Univ", "Address", "Closure"}
 
     def twins(self):
         import dataclasses
